@@ -11,6 +11,7 @@ boundary values.
 """
 
 from .jets import (
+    EvaluationError,
     Jet2,
     JetDomainError,
     fd_jet,
@@ -19,11 +20,10 @@ from .jets import (
     jet_exp,
     jet_lift,
     jet_log,
-    jet_pow,
     jet_sin,
     jet_sqrt,
 )
-from .quadrature import QuadratureError, QuadratureResult, gauss_kronrod_15, integrate
+from .quadrature import gauss_kronrod_15
 from .profiles import (
     ArcComplement,
     BumpW1,
@@ -38,7 +38,6 @@ from .profiles import (
     unit_circle_jets,
 )
 from .maps import (
-    AffineMap,
     CurveMap,
     MapDomainError,
     MapJet,
@@ -69,7 +68,6 @@ from .checkers import (
     PrincipleVerdict,
     ResidualReport,
     annulus_domain,
-    box_domain,
     conservation_check,
     directional_check,
     hull_check,

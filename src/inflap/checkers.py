@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hull import max_outside_distance
-from .jets import JetDomainError
-from .maps import MapDomainError, VectorMap, finite_difference_map_jet
-from .operators import infinity_laplacian, normal, perturbed_scalar, tangential
-from .profiles import PhaseRangeError
-from .quadrature import QuadratureError
+from .jets import EvaluationError
+from .maps import VectorMap, finite_difference_map_jet
+from .operators import perturbed_scalar, tangential
 
 __all__ = [
     "DomainSpec",
     "CheckEvaluationError",
     "slab_domain",
     "annulus_domain",
-    "box_domain",
     "refine_abscissas",
     "ResidualReport",
     "PrincipleVerdict",
@@ -39,10 +36,7 @@ __all__ = [
     "conservation_check",
 ]
 
-_EVAL_ERRORS = (JetDomainError, MapDomainError, PhaseRangeError, QuadratureError)
-
-
-class CheckEvaluationError(RuntimeError):
+class CheckEvaluationError(EvaluationError):
     """An evaluation failed at a specific sample point."""
 
     def __init__(self, point, message: str):
@@ -142,19 +136,6 @@ def annulus_domain(
     return DomainSpec("annulus", f"annulus({r_in:g},{r_out:g})", n, interior, boundary)
 
 
-def box_domain(intervals, grid_points: int = 11) -> DomainSpec:
-    """Axis-aligned box given per-axis (lo, hi); boundary = face samples."""
-    intervals = [(float(lo), float(hi)) for lo, hi in intervals]
-    n = len(intervals)
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in intervals]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    on_face = np.zeros(len(grid), dtype=bool)
-    for i, (lo, hi) in enumerate(intervals):
-        on_face |= (grid[:, i] == lo) | (grid[:, i] == hi)
-    label = "box(" + ",".join(f"[{lo:g},{hi:g}]" for lo, hi in intervals) + ")"
-    return DomainSpec("box", label, n, grid[~on_face], grid[on_face])
-
-
 def refine_abscissas(ts) -> np.ndarray:
     """Insert exact midpoints: the refined grid contains the coarse one."""
     ts = np.unique(np.asarray(ts, dtype=float))
@@ -170,6 +151,7 @@ class ResidualReport:
     worst_point: np.ndarray | None
     n_points: int
     jet_source: str
+    domain: str
 
 
 @dataclass
@@ -189,8 +171,7 @@ class PrincipleVerdict:
     min_violation_margin: float
     witness_sup: np.ndarray | None
     witness_inf: np.ndarray | None
-    witness_boundary_max: np.ndarray | None
-    witness_boundary_min: np.ndarray | None
+    domain: str
 
     @property
     def max_violation(self) -> bool:
@@ -208,14 +189,23 @@ class HullVerdict:
     witness_point: np.ndarray | None
     witness_image: np.ndarray | None
     tol: float
-    hull_vertices: np.ndarray = field(repr=False, default=None)
+    domain: str
 
 
 @dataclass
 class ConservationReport:
+    """Max deviation of |Du|² from its target; tol, when a caller sets
+    one, decides the pass."""
+
     max_dev: float
     target_sq: float
     worst_point: np.ndarray | None
+    domain: str
+    tol: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.tol is None or self.max_dev <= self.tol
 
 
 def _all_points(domain: DomainSpec) -> np.ndarray:
@@ -241,14 +231,15 @@ def residual_certify(
     jet_source: str = "analytic",
     fd_step: float = 1e-4,
     f_map: VectorMap | None = None,
-    rank_tol: float = 1e-10,
 ) -> ResidualReport:
     """Sup of the selected residual norm over all domain samples.
 
-    op selects the residual: "tangential", "normal", "full" (Euclidean norm
-    of the operator vector) or "perturbed_scalar" (absolute value; needs
-    f_map).  Evaluation domain errors abort with the offending point.
+    op selects the residual: "tangential" (Euclidean norm of the tangential
+    part) or "perturbed_scalar" (absolute value; needs f_map).  Evaluation
+    domain errors abort with the offending point.
     """
+    if op not in ("tangential", "perturbed_scalar"):
+        raise ValueError(f"unknown operator selector {op!r}")
     points = _all_points(domain)
     get_jet = _jet_getter(map_obj, jet_source, fd_step)
     if op == "perturbed_scalar":
@@ -262,20 +253,14 @@ def residual_certify(
             m = get_jet(x)
             if op == "tangential":
                 r = float(np.linalg.norm(tangential(m)))
-            elif op == "normal":
-                r = float(np.linalg.norm(normal(m, rank_tol)))
-            elif op == "full":
-                r = float(np.linalg.norm(infinity_laplacian(m, rank_tol).full))
-            elif op == "perturbed_scalar":
-                r = abs(perturbed_scalar(m, get_f_jet(x)))
             else:
-                raise ValueError(f"unknown operator selector {op!r}")
-        except _EVAL_ERRORS as exc:
+                r = abs(perturbed_scalar(m, get_f_jet(x)))
+        except EvaluationError as exc:
             raise CheckEvaluationError(x, str(exc)) from exc
         if r > sup or worst is None:
             sup = r
             worst = x
-    return ResidualReport(sup, tol, sup <= tol, worst, len(points), jet_source)
+    return ResidualReport(sup, tol, sup <= tol, worst, len(points), jet_source, domain.label)
 
 
 def _field_extrema(field, points) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
@@ -284,7 +269,7 @@ def _field_extrema(field, points) -> tuple[float, float, np.ndarray | None, np.n
     for x in points:
         try:
             v = float(field(x))
-        except _EVAL_ERRORS as exc:
+        except EvaluationError as exc:
             raise CheckEvaluationError(x, str(exc)) from exc
         if v > vmax:
             vmax, wmax = v, x
@@ -296,7 +281,7 @@ def _field_extrema(field, points) -> tuple[float, float, np.ndarray | None, np.n
 def max_principle_check(field, domain: DomainSpec) -> PrincipleVerdict:
     """Compare interior extrema of a scalar field against boundary extrema."""
     sup_i, inf_i, w_sup, w_inf = _field_extrema(field, domain.interior)
-    max_b, min_b, w_bmax, w_bmin = _field_extrema(field, domain.boundary)
+    max_b, min_b, _, _ = _field_extrema(field, domain.boundary)
     return PrincipleVerdict(
         sup_interior=sup_i,
         max_boundary=max_b,
@@ -306,8 +291,7 @@ def max_principle_check(field, domain: DomainSpec) -> PrincipleVerdict:
         min_violation_margin=min_b - inf_i,
         witness_sup=w_sup,
         witness_inf=w_inf,
-        witness_boundary_max=w_bmax,
-        witness_boundary_min=w_bmin,
+        domain=domain.label,
     )
 
 
@@ -334,18 +318,18 @@ def hull_check(map_obj: VectorMap, domain: DomainSpec, hull_tol: float = 1e-9) -
         for x in points:
             try:
                 out.append(map_obj.value(x)[:2])
-            except _EVAL_ERRORS as exc:
+            except EvaluationError as exc:
                 raise CheckEvaluationError(x, str(exc)) from exc
         return np.asarray(out)
 
     boundary_img = images(domain.boundary)
     interior_img = images(domain.interior)
     if len(domain.interior) == 0:
-        return HullVerdict(True, 0.0, None, None, hull_tol, np.zeros((0, 2)))
-    dist, idx, hull_vertices = max_outside_distance(interior_img, boundary_img)
+        return HullVerdict(True, 0.0, None, None, hull_tol, domain.label)
+    dist, idx = max_outside_distance(interior_img, boundary_img)
     witness = domain.interior[idx] if idx >= 0 else None
     image = interior_img[idx] if idx >= 0 else None
-    return HullVerdict(dist <= hull_tol, dist, witness, image, hull_tol, hull_vertices)
+    return HullVerdict(dist <= hull_tol, dist, witness, image, hull_tol, domain.label)
 
 
 def conservation_check(
@@ -364,10 +348,10 @@ def conservation_check(
     for x in _all_points(domain):
         try:
             m = map_obj.map_jet(x)
-        except _EVAL_ERRORS as exc:
+        except EvaluationError as exc:
             raise CheckEvaluationError(x, str(exc)) from exc
         dev = abs(float(np.einsum("ai,ai->", m.jacobian, m.jacobian)) - target_sq)
         if dev > worst_dev:
             worst_dev = dev
             worst = x
-    return ConservationReport(max(worst_dev, 0.0), target_sq, worst)
+    return ConservationReport(max(worst_dev, 0.0), target_sq, worst, domain.label)

@@ -3,9 +3,10 @@
 Usage:  verify <scenario>... [flags]
 
 Scenarios: ex1a ex1b ex2 ex3 properties (or "all").  A flat key=value
-config file supplies defaults for any ScenarioConfig field; command-line
-flags override the file.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 configuration error, 3 runtime evaluation error.
+config file supplies defaults for any ScenarioConfig field and for
+out_path; command-line flags override the file.  Exit codes: 0 all
+checks passed, 1 a check failed, 2 configuration error, 3 runtime
+evaluation error.
 """
 
 from __future__ import annotations
@@ -13,15 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checkers import CheckEvaluationError
-from .jets import JetDomainError
-from .maps import MapDomainError
-from .profiles import PhaseRangeError
-from .quadrature import QuadratureError
+from .jets import EvaluationError
 from .reports import emit_report, emit_profile_tables
 from .scenarios import (
     SCENARIO_NAMES,
-    ScenarioConfig,
     config_from_mapping,
     run_scenario,
     validate_config,
@@ -31,14 +27,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_EVALUATION_ERROR = 3
-
-_RUNTIME_ERRORS = (
-    CheckEvaluationError,
-    JetDomainError,
-    MapDomainError,
-    PhaseRangeError,
-    QuadratureError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +93,8 @@ def main(argv=None) -> int:
         val = getattr(args, key, None)
         if val is not None:
             base[key] = val
+    # where the report goes is not part of the configuration it echoes
+    out_path = base.pop("out_path", None)
 
     reports = []
     for name in names:
@@ -120,13 +110,12 @@ def main(argv=None) -> int:
             return EXIT_CONFIG_ERROR
         try:
             reports.append(run_scenario(cfg))
-        except _RUNTIME_ERRORS as exc:
+        except EvaluationError as exc:
             print(f"error: scenario {name} aborted: {exc}", file=sys.stderr)
             return EXIT_EVALUATION_ERROR
 
     fmt = base.get("format", "json")
     payload = emit_report(reports, fmt=fmt, with_timings=not args.no_timings)
-    out_path = base.get("out_path")
     if out_path:
         try:
             with open(out_path, "wb") as fh:

@@ -66,9 +66,9 @@ def distance_outside(p, hull: np.ndarray) -> float:
     return min(point_segment_distance(p, hull[i], hull[(i + 1) % k]) for i in range(k))
 
 
-def max_outside_distance(interior_points, boundary_points) -> tuple[float, int, np.ndarray]:
+def max_outside_distance(interior_points, boundary_points) -> tuple[float, int]:
     """Worst distance of interior image points outside the hull of the
-    boundary image.  Returns (distance, witness index, hull vertices)."""
+    boundary image.  Returns (distance, witness index)."""
     hull = convex_hull(boundary_points)
     worst = 0.0
     witness = -1
@@ -77,4 +77,4 @@ def max_outside_distance(interior_points, boundary_points) -> tuple[float, int, 
         if d > worst:
             worst = d
             witness = idx
-    return worst, witness, hull
+    return worst, witness

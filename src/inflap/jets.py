@@ -14,6 +14,7 @@ import math
 
 __all__ = [
     "Jet2",
+    "EvaluationError",
     "JetDomainError",
     "jet_lift",
     "jet_constant",
@@ -22,12 +23,15 @@ __all__ = [
     "jet_sin",
     "jet_cos",
     "jet_sqrt",
-    "jet_pow",
     "fd_jet",
 ]
 
 
-class JetDomainError(ValueError):
+class EvaluationError(ValueError):
+    """An evaluation left the domain where a map or profile is defined."""
+
+
+class JetDomainError(EvaluationError):
     """A jet function was evaluated where it is not smoothly defined."""
 
 
@@ -150,10 +154,6 @@ def jet_sqrt(j: Jet2) -> Jet2:
         raise JetDomainError(f"sqrt of non-positive jet value {j.val!r}")
     s = math.sqrt(j.val)
     return j.chain(s, 0.5 / s, -0.25 / (s * j.val))
-
-
-def jet_pow(j: Jet2, p: float) -> Jet2:
-    return j**p
 
 
 def fd_jet(f, t: float, h: float = 1e-4) -> Jet2:

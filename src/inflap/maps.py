@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import jet_cos, jet_sin
+from .jets import EvaluationError, jet_cos, jet_sin
 from .profiles import ArcComplement, GaussianRho, PolarPhase, Profile
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "PolarSpiralMap",
     "ScalarProfileMap",
     "PerturbationPotentialMap",
-    "AffineMap",
     "TrigQuadMap",
     "PolarDecomposition",
     "polar_decompose",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 
-class MapDomainError(ValueError):
+class MapDomainError(EvaluationError):
     """A map was evaluated outside its domain of definition."""
 
 
@@ -248,26 +247,6 @@ class PerturbationPotentialMap(VectorMap):
         t = float(self._as_point(x)[0])
         p1 = self.base.d1(t)
         return np.array([0.5 * (self.M * self.M - p1 * p1)])
-
-
-class AffineMap(VectorMap):
-    """x -> A x + b, the zero-hessian reference map."""
-
-    family = "affine"
-
-    def __init__(self, A, b):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        super().__init__(A.shape[1], A.shape[0])
-        self.A = A
-        self.b = b
-
-    def map_jet(self, x) -> MapJet:
-        p = self._as_point(x)
-        return MapJet(self.A @ p + self.b, self.A.copy(), np.zeros((self.N, self.n, self.n)))
-
-    def value(self, x) -> np.ndarray:
-        return self.A @ self._as_point(x) + self.b
 
 
 class TrigQuadMap(VectorMap):

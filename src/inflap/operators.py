@@ -46,11 +46,6 @@ def tangential(m) -> np.ndarray:
     return np.einsum("ai,bj,bij->a", m.jacobian, m.jacobian, m.hessian)
 
 
-def _svd_left(j: np.ndarray):
-    u, s, _ = np.linalg.svd(j, full_matrices=False)
-    return u, s
-
-
 def orthogonal_projection(jacobian: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     """Projection onto the orthogonal complement of the jacobian's range.
 
@@ -62,7 +57,7 @@ def orthogonal_projection(jacobian: np.ndarray, rank_tol: float = 1e-10) -> np.n
         raise ValueError("rank_tol must be positive")
     j = np.asarray(jacobian, dtype=float)
     big_n = j.shape[0]
-    u, s = _svd_left(j)
+    u, s, _ = np.linalg.svd(j, full_matrices=False)
     p = np.eye(big_n)
     if s.size and s[0] > 0.0:
         keep = u[:, s > rank_tol * s[0]]
@@ -82,22 +77,14 @@ def infinity_laplacian(m, rank_tol: float = 1e-10) -> OperatorValue:
     Singular values of the jacobian are reported so that points near a
     rank transition of the projection stay auditable.
     """
-    j = np.asarray(m.jacobian, dtype=float)
-    g = float(np.einsum("ai,ai->", j, j))
-    tang = np.einsum("ai,bj,bij->a", j, j, m.hessian)
-    lap = np.einsum("bii->b", m.hessian)
-    u, s = _svd_left(j)
-    p = np.eye(j.shape[0])
-    if s.size and s[0] > 0.0:
-        keep = u[:, s > rank_tol * s[0]]
-        p -= keep @ keep.T
-    p = 0.5 * (p + p.T)
-    norm_part = g * (p @ lap)
+    tang = tangential(m)
+    norm_part = normal(m, rank_tol)
+    s = np.linalg.svd(np.asarray(m.jacobian, dtype=float), compute_uv=False)
     return OperatorValue(
         tangential=tang,
         normal=norm_part,
         full=tang + norm_part,
-        grad_norm_sq=g,
+        grad_norm_sq=grad_norm_sq(m),
         singular_values=tuple(float(x) for x in s),
     )
 

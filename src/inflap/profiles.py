@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2, JetDomainError, jet_cos, jet_exp, jet_lift, jet_sin, jet_sqrt
+from .jets import EvaluationError, Jet2, JetDomainError, jet_cos, jet_exp, jet_lift, jet_sin, jet_sqrt
 from .quadrature import gauss_kronrod_15
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 _SEAM_CUTOFF = -1.0 / 690.0
 
 
-class PhaseRangeError(ValueError):
+class PhaseRangeError(EvaluationError):
     """Phase evaluation requested outside the guarded range."""
 
 
@@ -74,9 +74,6 @@ class Profile:
 
     def d1(self, t: float) -> float:
         return self.d1_jet(t).val
-
-    def __call__(self, t: float) -> float:
-        return self.value(t)
 
 
 def _bump_jet(sj: Jet2, sign: float) -> Jet2:

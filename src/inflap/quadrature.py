@@ -1,19 +1,15 @@
-"""Adaptive quadrature with an embedded Gauss-Kronrod error estimate.
+"""One Gauss-Kronrod 7/15 panel with an embedded error estimate.
 
-Each panel is integrated with the 7-point Gauss rule embedded in its
+The panel is integrated with the 7-point Gauss rule embedded in its
 15-point Kronrod extension; the difference of the two rules is the local
-error estimate and comes at no extra function evaluations.  Adaptive
-bisection then splits whichever panel currently carries the worst estimate,
-which concentrates work at seams of piecewise-defined integrands.
+error estimate and comes at no extra function evaluations.  The profile
+tables integrate each cell with one panel, and each evaluation adds one
+panel from the nearest node; there is no adaptive bisection.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass
-
-__all__ = ["QuadratureResult", "QuadratureError", "gauss_kronrod_15", "integrate"]
+__all__ = ["gauss_kronrod_15"]
 
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights attach
 # to the odd-indexed abscissae plus the midpoint.
@@ -44,17 +40,6 @@ _WG = (
 _WG_CENTER = 0.4179591836734694
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
-
-
 def gauss_kronrod_15(f, a: float, b: float) -> tuple[float, float]:
     """One Kronrod-15 panel on [a, b]: (value, error estimate).
 
@@ -72,51 +57,3 @@ def gauss_kronrod_15(f, a: float, b: float) -> tuple[float, float]:
         if i % 2 == 1:
             resg += _WG[i // 2] * s
     return resk * half, abs((resk - resg) * half)
-
-
-def integrate(f, a: float, b: float, tol: float = 1e-10, max_panels: int = 2048) -> QuadratureResult:
-    """Oriented adaptive integral of f over [a, b].
-
-    Panels are bisected worst-first until the summed error estimate drops
-    below tol.  Raises :class:`QuadratureError`, reporting the worst panel,
-    if the budget of panels is exhausted or a panel shrinks to roundoff
-    width without converging.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-    span = b - a
-
-    val, err = gauss_kronrod_15(f, a, b)
-    evaluations = 15
-    # heap entries: (-err, left, right, value, err)
-    heap = [(-err, a, b, val, err)]
-    total_err = err
-    while total_err > tol:
-        if len(heap) >= max_panels:
-            _, wa, wb, _, werr = min(heap)
-            raise QuadratureError(
-                f"no convergence after {len(heap)} panels; "
-                f"worst interval [{wa!r}, {wb!r}] with error estimate {werr:.3e}"
-            )
-        neg_err, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa <= 1e-15 * span:
-            raise QuadratureError(
-                f"interval [{pa!r}, {pb!r}] collapsed to roundoff width "
-                f"with error estimate {perr:.3e}"
-            )
-        mid = 0.5 * (pa + pb)
-        lval, lerr = gauss_kronrod_15(f, pa, mid)
-        rval, rerr = gauss_kronrod_15(f, mid, pb)
-        evaluations += 30
-        heapq.heappush(heap, (-lerr, pa, mid, lval, lerr))
-        heapq.heappush(heap, (-rerr, mid, pb, rval, rerr))
-        total_err += lerr + rerr - perr
-    value = math.fsum(entry[3] for entry in heap)
-    error = math.fsum(entry[4] for entry in heap)
-    return QuadratureResult(sign * value, error, evaluations)

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "dumps_canonical",
     "emit_report",
     "parse_report",
+    "report_dict",
     "report_rows",
     "CSV_HEADER",
     "emit_profile_tables",
@@ -82,34 +84,12 @@ def dumps_canonical(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def _document(reports, with_timings: bool) -> dict:
-    if isinstance(reports, CheckReport):
-        reports = [reports]
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "reports": [r.to_dict(with_timings=with_timings) for r in reports],
-    }
+def _point(p) -> list | None:
+    return None if p is None else np.asarray(p, dtype=float).tolist()
 
 
-def emit_report(reports, fmt: str = "json", with_timings: bool = True) -> bytes:
-    """Serialize one report or a list of reports to JSON or CSV bytes."""
-    if fmt == "json":
-        return (dumps_canonical(_document(reports, with_timings)) + "\n").encode()
-    if fmt == "csv":
-        if isinstance(reports, CheckReport):
-            reports = [reports]
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in reports:
-            for row in report_rows(r):
-                writer.writerow(row)
-        return out.getvalue().encode()
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_report(data: bytes) -> dict:
-    return json.loads(data.decode())
+def _status(passed: bool) -> str:
+    return "pass" if passed else "fail"
 
 
 def _format_cell(v) -> str:
@@ -118,60 +98,120 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _row(scenario, check, domain, metric, value, threshold, status):
-    return (scenario, check, domain, metric, _format_cell(value), _format_cell(threshold), status)
+def _render(report: CheckReport) -> tuple[dict, list[tuple]]:
+    """JSON sections and CSV rows of one report, each check's section and
+    row rendered together from its result record."""
+    name = report.config.scenario
+    sections = {"speed_bound": asdict(report.speed_bound)}
+    rows = []
+
+    def row(check, domain, metric, value, threshold, status):
+        rows.append((name, check, domain, metric, _format_cell(value), _format_cell(threshold), status))
+
+    if report.residual:
+        residual = sections["residual"] = {"domain": report.residual[0].domain}
+        for r in report.residual:
+            residual[r.jet_source] = {
+                "sup_residual": r.sup_residual,
+                "tol": r.tol,
+                "pass": r.passed,
+                "worst_point": _point(r.worst_point),
+                "points": r.n_points,
+                "jet_source": r.jet_source,
+            }
+            row(f"residual_{r.jet_source}", r.domain, "sup_residual",
+                r.sup_residual, r.tol, _status(r.passed))
+    c = report.conservation
+    if c is not None:
+        sections["conservation"] = {
+            "domain": c.domain,
+            "max_dev": c.max_dev,
+            "tol": c.tol,
+            "pass": c.passed,
+            "target_sq": c.target_sq,
+            "worst_point": _point(c.worst_point),
+        }
+        row("conservation", c.domain, "max_dev", c.max_dev, c.tol, _status(c.passed))
+    if report.principle:
+        principle = sections["principle"] = {}
+        for key in sorted(report.principle):
+            v = report.principle[key]
+            principle[key] = {
+                "domain": v.domain,
+                "sup_interior": v.sup_interior,
+                "max_boundary": v.max_boundary,
+                "inf_interior": v.inf_interior,
+                "min_boundary": v.min_boundary,
+                "margin": v.max_violation_margin,
+                "min_margin": v.min_violation_margin,
+                "max_violation": v.max_violation,
+                "min_violation": v.min_violation,
+                "witness_sup": _point(v.witness_sup),
+                "witness_inf": _point(v.witness_inf),
+            }
+            row(f"principle_{key}", v.domain, "margin", v.max_violation_margin, "", "info")
+    h = report.hull
+    if h is not None:
+        sections["hull"] = {
+            "domain": h.domain,
+            "contained": h.contained,
+            "max_outside_distance": h.max_outside_distance,
+            "tol": h.tol,
+            "witness_point": _point(h.witness_point),
+            "witness_image": _point(h.witness_image),
+        }
+        row("hull", h.domain, "max_outside_distance", h.max_outside_distance, h.tol,
+            "contained" if h.contained else "outside")
+    if report.properties:
+        properties = sections["properties"] = {}
+        for key in sorted(report.properties):
+            p = report.properties[key]
+            properties[key] = p.stats
+            row(f"property_{key}", "", p.metric, p.stats[p.metric],
+                p.stats.get("tol", ""), _status(p.stats["pass"]))
+    if report.assessment is not None:
+        sections["assessment"] = report.assessment
+    row("overall", "", "overall_pass", report.overall_pass, "", _status(report.overall_pass))
+    return sections, rows
+
+
+def report_dict(report: CheckReport, with_timings: bool = True) -> dict:
+    """One report as its JSON object; timings only when asked for."""
+    doc = {"scenario": report.config.scenario, "config": asdict(report.config)}
+    doc.update(_render(report)[0])
+    doc["overall_pass"] = report.overall_pass
+    if with_timings:
+        doc["timings"] = report.timings
+    return doc
 
 
 def report_rows(report: CheckReport) -> list[tuple]:
     """One CSV row per executed check of the report."""
-    rows = []
-    name = report.scenario
-    s = report.sections
-    if "residual" in s:
-        domain = s["residual"]["domain"]
-        for src in ("analytic", "fd"):
-            r = s["residual"][src]
-            rows.append(_row(
-                name, f"residual_{src}", domain, "sup_residual",
-                r["sup_residual"], r["tol"], "pass" if r["pass"] else "fail",
-            ))
-    if "conservation" in s:
-        c = s["conservation"]
-        rows.append(_row(
-            name, "conservation", c.get("domain", ""), "max_dev",
-            c["max_dev"], c["tol"], "pass" if c["pass"] else "fail",
-        ))
-    if "principle" in s:
-        for key in sorted(s["principle"]):
-            v = s["principle"][key]
-            rows.append(_row(
-                name, f"principle_{key}", v["domain"], "margin",
-                v["margin"], "", "info",
-            ))
-    if "hull" in s:
-        h = s["hull"]
-        rows.append(_row(
-            name, "hull", h["domain"], "max_outside_distance",
-            h["max_outside_distance"], h["tol"],
-            "contained" if h["contained"] else "outside",
-        ))
-    if "properties" in s:
-        for key in sorted(s["properties"]):
-            p = s["properties"][key]
-            metric, value = next(
-                (k, p[k]) for k in ("max_asymmetry", "max_relative_dot", "max_abs",
-                                    "max_relative_error")
-                if k in p
-            )
-            rows.append(_row(
-                name, f"property_{key}", "", metric,
-                value, p.get("tol", ""), "pass" if p["pass"] else "fail",
-            ))
-    rows.append(_row(
-        name, "overall", "", "overall_pass", report.overall_pass, "",
-        "pass" if report.overall_pass else "fail",
-    ))
-    return rows
+    return _render(report)[1]
+
+
+def emit_report(reports, fmt: str = "json", with_timings: bool = True) -> bytes:
+    """Serialize one report or a list of reports to JSON or CSV bytes."""
+    if isinstance(reports, CheckReport):
+        reports = [reports]
+    if fmt == "json":
+        doc = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "reports": [report_dict(r, with_timings) for r in reports],
+        }
+        return (dumps_canonical(doc) + "\n").encode()
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in reports:
+            writer.writerows(report_rows(r))
+        return out.getvalue().encode()
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
+def parse_report(data: bytes) -> dict:
+    return json.loads(data.decode())
 
 
 def emit_profile_tables(dir_path: str, scenarios, grid_points: int = 2001) -> list[str]:

@@ -1,21 +1,30 @@
 """Scenario registry and runners.
 
-Each scenario builds its construction from scratch (profiles, speed bound,
-maps), certifies that the selected residual vanishes over a dense grid with
-both the analytic jets and the finite-difference oracle, measures the
-principle/hull margins on the scenario domains, and folds everything into a
-deterministic report.
+Each counterexample scenario is a small data entry: the profile its speed
+bound is chosen for, the map it builds, the residual it certifies, its
+domains, its principle and hull checks and the margin it must detect.  One
+runner builds the construction from scratch, certifies that the residual
+vanishes over a dense grid with both the analytic jets and the
+finite-difference oracle, measures the principle/hull margins on the
+scenario domains and applies the pass rule.  The randomized property suite
+has its own runner.  Results are the typed records of ``checkers``;
+``reports`` renders them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from .checkers import (
+    ConservationReport,
+    HullVerdict,
+    PrincipleVerdict,
+    ResidualReport,
     annulus_domain,
     conservation_check,
     directional_check,
@@ -35,11 +44,20 @@ from .maps import (
     polar_decompose,
 )
 from .operators import grad_norm_sq, normal, orthogonal_projection, tangential
-from .profiles import ArcComplement, BumpW1, BumpZ1, GaussianRho, PolarPhase, choose_M
+from .profiles import (
+    ArcComplement,
+    BumpW1,
+    BumpZ1,
+    GaussianRho,
+    PolarPhase,
+    SpeedBound,
+    choose_M,
+)
 
 __all__ = [
     "ScenarioConfig",
     "CheckReport",
+    "PropertyCheck",
     "SCENARIO_NAMES",
     "validate_config",
     "run_scenario",
@@ -73,11 +91,15 @@ class ScenarioConfig:
     fd_step: float = 1e-4
     cross_extent: float = 1.0
     inject_witnesses: bool = True
-    out_path: str | None = None
     format: str = "json"
 
     def witnesses(self):
         return WITNESS_ABSCISSAS if self.inject_witnesses else ()
+
+
+_POSITIVE_FIELDS = (
+    "safety", "residual_tol_scale", "fd_tol_scale", "hull_tol", "t_max", "fd_step", "cross_extent",
+)
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
@@ -91,101 +113,42 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         errors.append("N: must be >= 2 for the vector-valued scenarios")
     if cfg.grid_points < 2:
         errors.append("grid_points: must be >= 2")
-    if cfg.safety <= 0.0:
-        errors.append("safety: must be positive")
-    if cfg.residual_tol_scale <= 0.0:
-        errors.append("residual_tol_scale: must be positive")
-    if cfg.fd_tol_scale <= 0.0:
-        errors.append("fd_tol_scale: must be positive")
-    if cfg.hull_tol <= 0.0:
-        errors.append("hull_tol: must be positive")
-    if cfg.t_max <= 0.0:
-        errors.append("t_max: must be positive")
+    for name in _POSITIVE_FIELDS:
+        value = getattr(cfg, name)
+        # NaN fails every comparison, so test for the valid range
+        if not (math.isfinite(value) and value > 0.0):
+            errors.append(f"{name}: must be positive and finite, got {value!r}")
+    if cfg.seed < 0:
+        errors.append("seed: must be >= 0")
     if cfg.cache_cells < 16:
         errors.append("cache_cells: must be >= 16")
-    if cfg.fd_step <= 0.0:
-        errors.append("fd_step: must be positive")
-    if cfg.cross_extent <= 0.0:
-        errors.append("cross_extent: must be positive")
     if cfg.format not in ("json", "csv"):
         errors.append(f"format: must be 'json' or 'csv', got {cfg.format!r}")
     return errors
 
 
 @dataclass
+class PropertyCheck:
+    """One randomized property: its statistics and the one CSV reports."""
+
+    metric: str
+    stats: dict
+
+
+@dataclass
 class CheckReport:
-    """One scenario's full result; sections land at the top of the JSON."""
+    """One scenario's typed check results; ``reports`` renders them."""
 
-    scenario: str
-    config: dict
-    sections: dict
+    config: ScenarioConfig
+    speed_bound: SpeedBound
     overall_pass: bool
-    timings: dict
-
-    def to_dict(self, with_timings: bool = True) -> dict:
-        doc = {"scenario": self.scenario, "config": self.config}
-        doc.update(self.sections)
-        doc["overall_pass"] = self.overall_pass
-        if with_timings:
-            doc["timings"] = self.timings
-        return doc
-
-
-def _point(p) -> list | None:
-    return None if p is None else np.asarray(p, dtype=float).tolist()
-
-
-def _residual_dict(r) -> dict:
-    return {
-        "sup_residual": r.sup_residual,
-        "tol": r.tol,
-        "pass": r.passed,
-        "worst_point": _point(r.worst_point),
-        "points": r.n_points,
-        "jet_source": r.jet_source,
-    }
-
-
-def _verdict_dict(v, domain_label: str) -> dict:
-    return {
-        "domain": domain_label,
-        "sup_interior": v.sup_interior,
-        "max_boundary": v.max_boundary,
-        "inf_interior": v.inf_interior,
-        "min_boundary": v.min_boundary,
-        "margin": v.max_violation_margin,
-        "min_margin": v.min_violation_margin,
-        "max_violation": v.max_violation,
-        "min_violation": v.min_violation,
-        "witness_sup": _point(v.witness_sup),
-        "witness_inf": _point(v.witness_inf),
-    }
-
-
-def _hull_dict(h, domain_label: str) -> dict:
-    return {
-        "domain": domain_label,
-        "contained": h.contained,
-        "max_outside_distance": h.max_outside_distance,
-        "tol": h.tol,
-        "witness_point": _point(h.witness_point),
-        "witness_image": _point(h.witness_image),
-    }
-
-
-def _conservation_dict(c, tol: float, domain_label: str) -> dict:
-    return {
-        "domain": domain_label,
-        "max_dev": c.max_dev,
-        "tol": tol,
-        "pass": c.max_dev <= tol,
-        "target_sq": c.target_sq,
-        "worst_point": _point(c.worst_point),
-    }
-
-
-def _speed_bound_dict(sb) -> dict:
-    return {"M": sb.M, "sup_estimate": sb.sup_estimate, "safety": sb.safety}
+    residual: tuple[ResidualReport, ...] = ()
+    conservation: ConservationReport | None = None
+    principle: dict[str, PrincipleVerdict] = field(default_factory=dict)
+    hull: HullVerdict | None = None
+    assessment: dict | None = None
+    properties: dict[str, PropertyCheck] = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
 
 def _unit(k: int, length: int) -> np.ndarray:
@@ -208,201 +171,155 @@ def _two_sided_failure(v_neg, v_pos, half_margin: float) -> bool:
     return max_flags.index(True) != min_flags.index(True)
 
 
-def _run_ex1a(cfg: ScenarioConfig) -> tuple[dict, bool]:
-    w1 = BumpW1()
-    sb = choose_M(w1, cfg.safety)
-    w2 = ArcComplement(w1, sb.M, cells=cfg.cache_cells)
-    u1 = CurveMap(w1, w2, cfg.n, cfg.N)
+# Constructions: (profile, speed bound M, config) -> (map, forcing map).
+
+def _curve(w1, M, cfg):
+    return CurveMap(w1, ArcComplement(w1, M, cells=cfg.cache_cells), cfg.n, cfg.N), None
+
+
+def _radial_curve(z1, M, cfg):
+    return RadialCurveMap(z1, ArcComplement(z1, M, cells=cfg.cache_cells), cfg.n, cfg.N), None
+
+
+def _polar_spiral(rho, M, cfg):
+    phase = PolarPhase(M, t_max=cfg.t_max, cells=cfg.cache_cells, rho=rho)
+    return PolarSpiralMap(rho, phase, cfg.n, cfg.N), None
+
+
+def _perturbed_scalar(w1, M, cfg):
+    return ScalarProfileMap(w1, cfg.n), PerturbationPotentialMap(w1, M, cfg.n)
+
+
+# Principle checks: (map, domain, config) -> PrincipleVerdict.  The checkers
+# are looked up when a check runs, so a wrapped checker sees every call.
+
+def _along(k: int):
+    """Principle check of the projection onto the k-th target axis."""
+    return lambda u, domain, cfg: directional_check(u, _unit(k, cfg.N), domain)
+
+
+def _modulus(u, domain, cfg):
+    return max_principle_check(lambda x: float(np.linalg.norm(u.value(x))), domain)
+
+
+def _scalar_value(u, domain, cfg):
+    return max_principle_check(lambda x: float(u.value(x)[0]), domain)
+
+
+@dataclass(frozen=True)
+class _Construction:
+    """What one counterexample scenario builds, checks and must detect.
+
+    Domains are ("slab", a, b) or ("annulus", r_in, r_out); a domain named
+    by several checks is built once.  ``detect`` names the principle checks
+    the pass rule reads: one name needs a maximum-principle violation, two
+    names (negative, positive slab) a two-sided failure.
+    """
+
+    profile: type
+    build: Callable
+    op: str
+    residual_domain: tuple
+    conservation_scale: float | None  # tolerance / M², None: not checked
+    principle: tuple  # (name, domain, check)
+    hull_domain: tuple | None
+    analytic_margin: float
+    detect: tuple[str, ...]
+
+
+_CONSTRUCTIONS = {
+    "ex1a": _Construction(
+        profile=BumpW1, build=_curve, op="tangential",
+        residual_domain=("slab", -3.0, 3.0), conservation_scale=1e-10,
+        principle=(("xi_e1_minus", ("slab", -2.0, 0.0), _along(0)),
+                   ("xi_e1_plus", ("slab", 0.0, 2.0), _along(0)),
+                   ("xi_e2_minus", ("slab", -2.0, 0.0), _along(1)),
+                   ("xi_e2_plus", ("slab", 0.0, 2.0), _along(1))),
+        hull_domain=("slab", -2.0, 2.0), analytic_margin=INV_E,
+        detect=("xi_e1_minus", "xi_e1_plus"),
+    ),
+    "ex1b": _Construction(
+        profile=BumpZ1, build=_radial_curve, op="tangential",
+        residual_domain=("annulus", 1.0, 3.0), conservation_scale=1e-10,
+        principle=(("xi_e1", ("annulus", 1.0, 3.0), _along(0)),),
+        hull_domain=("annulus", 1.0, 3.0), analytic_margin=INV_E,
+        detect=("xi_e1",),
+    ),
+    "ex2": _Construction(
+        profile=GaussianRho, build=_polar_spiral, op="tangential",
+        residual_domain=("slab", -1.5, 1.5), conservation_scale=1e-9,
+        principle=(("modulus", ("slab", -1.0, 1.0), _modulus),),
+        hull_domain=None, analytic_margin=1.0 - INV_E,
+        detect=("modulus",),
+    ),
+    "ex3": _Construction(
+        profile=BumpW1, build=_perturbed_scalar, op="perturbed_scalar",
+        residual_domain=("slab", -3.0, 3.0), conservation_scale=None,
+        principle=(("v_minus", ("slab", -2.0, 0.0), _scalar_value),
+                   ("v_plus", ("slab", 0.0, 2.0), _scalar_value)),
+        hull_domain=None, analytic_margin=INV_E,
+        detect=("v_minus", "v_plus"),
+    ),
+}
+
+
+def _run_construction(cfg: ScenarioConfig) -> CheckReport:
+    spec = _CONSTRUCTIONS[cfg.scenario]
+    profile = spec.profile()
+    sb = choose_M(profile, cfg.safety)
+    u, f_map = spec.build(profile, sb.M, cfg)
     m_cubed = sb.M**3
-    wit = cfg.witnesses()
+    domains = {}
 
-    res_domain = slab_domain(-3.0, 3.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    r_a = residual_certify(u1, "tangential", res_domain, cfg.residual_tol_scale * m_cubed)
-    r_f = residual_certify(
-        u1, "tangential", res_domain, cfg.fd_tol_scale * m_cubed,
-        jet_source="fd", fd_step=cfg.fd_step,
+    def domain(key):
+        if key not in domains:
+            kind, lo, hi = key
+            if kind == "annulus":
+                domains[key] = annulus_domain(lo, hi, cfg.n, cfg.grid_points, cfg.witnesses())
+            else:
+                domains[key] = slab_domain(
+                    lo, hi, cfg.n, cfg.grid_points, cfg.cross_extent, cfg.witnesses()
+                )
+        return domains[key]
+
+    res_domain = domain(spec.residual_domain)
+    residual = (
+        residual_certify(u, spec.op, res_domain, cfg.residual_tol_scale * m_cubed, f_map=f_map),
+        residual_certify(
+            u, spec.op, res_domain, cfg.fd_tol_scale * m_cubed,
+            jet_source="fd", fd_step=cfg.fd_step, f_map=f_map,
+        ),
     )
-    cons_tol = 1e-10 * sb.M**2
-    cons = conservation_check(u1, res_domain)
+    conservation = None
+    if spec.conservation_scale is not None:
+        conservation = replace(
+            conservation_check(u, res_domain), tol=spec.conservation_scale * sb.M**2
+        )
+    principle = {name: check(u, domain(key), cfg) for name, key, check in spec.principle}
+    hull = None
+    if spec.hull_domain is not None:
+        hull = hull_check(u, domain(spec.hull_domain), cfg.hull_tol)
 
-    slab_neg = slab_domain(-2.0, 0.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    slab_pos = slab_domain(0.0, 2.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    xi1 = _unit(0, cfg.N)
-    xi2 = _unit(1, cfg.N)
-    v1_neg = directional_check(u1, xi1, slab_neg)
-    v1_pos = directional_check(u1, xi1, slab_pos)
-    v2_neg = directional_check(u1, xi2, slab_neg)
-    v2_pos = directional_check(u1, xi2, slab_pos)
-
-    hull_domain = slab_domain(-2.0, 2.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    hv = hull_check(u1, hull_domain, cfg.hull_tol)
-
-    half = 0.5 * INV_E
-    two_sided = _two_sided_failure(v1_neg, v1_pos, half)
-    hull_failed = (not hv.contained) and hv.max_outside_distance >= half
-    overall = r_a.passed and r_f.passed and cons.max_dev <= cons_tol and two_sided and hull_failed
-
-    sections = {
-        "speed_bound": _speed_bound_dict(sb),
-        "residual": {
-            "domain": res_domain.label,
-            "analytic": _residual_dict(r_a),
-            "fd": _residual_dict(r_f),
-        },
-        "conservation": _conservation_dict(cons, cons_tol, res_domain.label),
-        "principle": {
-            "xi_e1_minus": _verdict_dict(v1_neg, slab_neg.label),
-            "xi_e1_plus": _verdict_dict(v1_pos, slab_pos.label),
-            "xi_e2_minus": _verdict_dict(v2_neg, slab_neg.label),
-            "xi_e2_plus": _verdict_dict(v2_pos, slab_pos.label),
-        },
-        "hull": _hull_dict(hv, hull_domain.label),
-        "assessment": {
-            "analytic_margin": INV_E,
-            "margin_threshold": half,
-            "two_sided_failure": two_sided,
-            "hull_failure_detected": hull_failed,
-        },
-    }
-    return sections, overall
-
-
-def _run_ex1b(cfg: ScenarioConfig) -> tuple[dict, bool]:
-    z1 = BumpZ1()
-    sb = choose_M(z1, cfg.safety)
-    z2 = ArcComplement(z1, sb.M, cells=cfg.cache_cells)
-    u2 = RadialCurveMap(z1, z2, cfg.n, cfg.N)
-    m_cubed = sb.M**3
-    wit = cfg.witnesses()
-
-    domain = annulus_domain(1.0, 3.0, cfg.n, cfg.grid_points, wit)
-    r_a = residual_certify(u2, "tangential", domain, cfg.residual_tol_scale * m_cubed)
-    r_f = residual_certify(
-        u2, "tangential", domain, cfg.fd_tol_scale * m_cubed,
-        jet_source="fd", fd_step=cfg.fd_step,
-    )
-    cons_tol = 1e-10 * sb.M**2
-    cons = conservation_check(u2, domain)
-
-    verdict = directional_check(u2, _unit(0, cfg.N), domain)
-    hv = hull_check(u2, domain, cfg.hull_tol)
-
-    half = 0.5 * INV_E
-    margin_ok = verdict.max_violation_margin >= half
-    hull_failed = (not hv.contained) and hv.max_outside_distance >= half
+    half = 0.5 * spec.analytic_margin
+    if len(spec.detect) == 2:
+        neg, pos = (principle[name] for name in spec.detect)
+        detected = {"two_sided_failure": _two_sided_failure(neg, pos, half)}
+    else:
+        margin = principle[spec.detect[0]].max_violation_margin
+        detected = {"principle_violation_detected": margin >= half}
+    if hull is not None:
+        escaped = not hull.contained and hull.max_outside_distance >= half
+        detected["hull_failure_detected"] = escaped
     overall = (
-        r_a.passed and r_f.passed and cons.max_dev <= cons_tol and margin_ok and hull_failed
+        all(r.passed for r in residual)
+        and (conservation is None or conservation.passed)
+        and all(detected.values())
     )
-
-    sections = {
-        "speed_bound": _speed_bound_dict(sb),
-        "residual": {
-            "domain": domain.label,
-            "analytic": _residual_dict(r_a),
-            "fd": _residual_dict(r_f),
-        },
-        "conservation": _conservation_dict(cons, cons_tol, domain.label),
-        "principle": {"xi_e1": _verdict_dict(verdict, domain.label)},
-        "hull": _hull_dict(hv, domain.label),
-        "assessment": {
-            "analytic_margin": INV_E,
-            "margin_threshold": half,
-            "principle_violation_detected": margin_ok,
-            "hull_failure_detected": hull_failed,
-        },
-    }
-    return sections, overall
-
-
-def _run_ex2(cfg: ScenarioConfig) -> tuple[dict, bool]:
-    rho = GaussianRho()
-    sb = choose_M(rho, cfg.safety)
-    phase = PolarPhase(sb.M, t_max=cfg.t_max, cells=cfg.cache_cells, rho=rho)
-    u3 = PolarSpiralMap(rho, phase, cfg.n, cfg.N)
-    m_cubed = sb.M**3
-    wit = cfg.witnesses()
-
-    res_domain = slab_domain(-1.5, 1.5, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    r_a = residual_certify(u3, "tangential", res_domain, cfg.residual_tol_scale * m_cubed)
-    r_f = residual_certify(
-        u3, "tangential", res_domain, cfg.fd_tol_scale * m_cubed,
-        jet_source="fd", fd_step=cfg.fd_step,
+    assessment = {"analytic_margin": spec.analytic_margin, "margin_threshold": half, **detected}
+    return CheckReport(
+        cfg, sb, overall, residual=residual, conservation=conservation,
+        principle=principle, hull=hull, assessment=assessment,
     )
-    cons_tol = 1e-9 * sb.M**2
-    cons = conservation_check(u3, res_domain)
-
-    principle_domain = slab_domain(-1.0, 1.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    verdict = max_principle_check(
-        lambda x: float(np.linalg.norm(u3.value(x))), principle_domain
-    )
-
-    margin_analytic = 1.0 - INV_E
-    margin_ok = verdict.max_violation_margin >= 0.5 * margin_analytic
-    overall = r_a.passed and r_f.passed and cons.max_dev <= cons_tol and margin_ok
-
-    sections = {
-        "speed_bound": _speed_bound_dict(sb),
-        "residual": {
-            "domain": res_domain.label,
-            "analytic": _residual_dict(r_a),
-            "fd": _residual_dict(r_f),
-        },
-        "conservation": _conservation_dict(cons, cons_tol, res_domain.label),
-        "principle": {"modulus": _verdict_dict(verdict, principle_domain.label)},
-        "assessment": {
-            "analytic_margin": margin_analytic,
-            "margin_threshold": 0.5 * margin_analytic,
-            "principle_violation_detected": margin_ok,
-        },
-    }
-    return sections, overall
-
-
-def _run_ex3(cfg: ScenarioConfig) -> tuple[dict, bool]:
-    w1 = BumpW1()
-    sb = choose_M(w1, cfg.safety)
-    v_map = ScalarProfileMap(w1, cfg.n)
-    f_map = PerturbationPotentialMap(w1, sb.M, cfg.n)
-    m_cubed = sb.M**3
-    wit = cfg.witnesses()
-
-    res_domain = slab_domain(-3.0, 3.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    r_a = residual_certify(
-        v_map, "perturbed_scalar", res_domain, cfg.residual_tol_scale * m_cubed, f_map=f_map
-    )
-    r_f = residual_certify(
-        v_map, "perturbed_scalar", res_domain, cfg.fd_tol_scale * m_cubed,
-        jet_source="fd", fd_step=cfg.fd_step, f_map=f_map,
-    )
-
-    slab_neg = slab_domain(-2.0, 0.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    slab_pos = slab_domain(0.0, 2.0, cfg.n, cfg.grid_points, cfg.cross_extent, wit)
-    field = lambda x: float(v_map.value(x)[0])  # noqa: E731
-    v_neg = max_principle_check(field, slab_neg)
-    v_pos = max_principle_check(field, slab_pos)
-
-    half = 0.5 * INV_E
-    two_sided = _two_sided_failure(v_neg, v_pos, half)
-    overall = r_a.passed and r_f.passed and two_sided
-
-    sections = {
-        "speed_bound": _speed_bound_dict(sb),
-        "residual": {
-            "domain": res_domain.label,
-            "analytic": _residual_dict(r_a),
-            "fd": _residual_dict(r_f),
-        },
-        "principle": {
-            "v_minus": _verdict_dict(v_neg, slab_neg.label),
-            "v_plus": _verdict_dict(v_pos, slab_pos.label),
-        },
-        "assessment": {
-            "analytic_margin": INV_E,
-            "margin_threshold": half,
-            "two_sided_failure": two_sided,
-        },
-    }
-    return sections, overall
 
 
 def _random_map_jet(rng: np.random.Generator, N: int, n: int) -> MapJet:
@@ -431,7 +348,7 @@ def _relative_perpendicularity_defect(m: MapJet, t_vec, n_vec) -> float | None:
     return abs(float(t_vec @ n_vec)) / (t_norm * n_norm)
 
 
-def _run_properties(cfg: ScenarioConfig) -> tuple[dict, bool]:
+def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     rng = np.random.default_rng(cfg.seed)
     dims = [(N, n) for N in (1, 2, 3, 5) for n in (1, 2, 3)]
     samples = 500
@@ -535,73 +452,51 @@ def _run_properties(cfg: ScenarioConfig) -> tuple[dict, bool]:
         "pass": max_polar_rel <= 1e-9 and max_direction_dot <= 1e-12,
     }
 
-    sections = {
-        "speed_bound": _speed_bound_dict(sb),
-        "properties": {
-            "projection": projection,
-            "perpendicularity": perpendicularity,
-            "scalar_normal_zero": scalar_normal,
-            "tangential_gradient_identity": gradient_identity,
-            "polar_identity": polar,
-        },
+    properties = {
+        "projection": PropertyCheck("max_asymmetry", projection),
+        "perpendicularity": PropertyCheck("max_relative_dot", perpendicularity),
+        "scalar_normal_zero": PropertyCheck("max_abs", scalar_normal),
+        "tangential_gradient_identity": PropertyCheck("max_relative_error", gradient_identity),
+        "polar_identity": PropertyCheck("max_relative_error", polar),
     }
-    overall = all(
-        section["pass"]
-        for section in (projection, perpendicularity, scalar_normal, gradient_identity, polar)
-    )
-    return sections, overall
-
-
-_RUNNERS = {
-    "ex1a": _run_ex1a,
-    "ex1b": _run_ex1b,
-    "ex2": _run_ex2,
-    "ex3": _run_ex3,
-    "properties": _run_properties,
-}
-
-
+    overall = all(p.stats["pass"] for p in properties.values())
+    return CheckReport(cfg, sb, overall, properties=properties)
 def run_scenario(cfg: ScenarioConfig) -> CheckReport:
     """Run one scenario; deterministic for a fixed config (incl. seed)."""
     errors = validate_config(cfg)
     if errors:
         raise ValueError("invalid configuration: " + "; ".join(errors))
     t0 = time.perf_counter()
-    sections, overall = _RUNNERS[cfg.scenario](cfg)
-    elapsed = time.perf_counter() - t0
-    return CheckReport(
-        scenario=cfg.scenario,
-        config=asdict(cfg),
-        sections=sections,
-        overall_pass=overall,
-        timings={"total_s": elapsed},
-    )
+    if cfg.scenario == "properties":
+        report = _run_properties(cfg)
+    else:
+        report = _run_construction(cfg)
+    report.timings["total_s"] = time.perf_counter() - t0
+    return report
+
+
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def config_from_mapping(mapping: dict) -> ScenarioConfig:
     """Build a config from string-keyed values, coercing field types."""
     kwargs = {}
-    known = {f.name: f for f in fields(ScenarioConfig)}
     for key, raw in mapping.items():
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ValueError(f"unknown configuration key {key!r}")
-        kwargs[key] = _coerce(known[key], raw)
+        kwargs[key] = _coerce(key, raw)
     return ScenarioConfig(**kwargs)
 
 
-def _coerce(field_spec, raw):
-    if raw is None or not isinstance(raw, str):
+def _coerce(name: str, raw):
+    """Parse a string value as the declared type of the field."""
+    if not isinstance(raw, str):
         return raw
-    name = field_spec.name
-    if name in ("n", "N", "grid_points", "seed", "cache_cells"):
-        return int(raw)
-    if name in ("safety", "residual_tol_scale", "fd_tol_scale", "hull_tol",
-                "t_max", "fd_step", "cross_extent"):
-        return float(raw)
-    if name == "inject_witnesses":
+    kind = _FIELD_TYPES[name]
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"inject_witnesses: cannot parse boolean from {raw!r}")
-    return raw
+        raise ValueError(f"{name}: cannot parse boolean from {raw!r}")
+    return kind(raw)

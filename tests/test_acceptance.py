@@ -14,7 +14,7 @@ import pytest
 from inflap.checkers import max_principle_check, refine_abscissas, residual_certify, slab_domain
 from inflap.maps import CurveMap, PolarSpiralMap
 from inflap.profiles import ArcComplement, BumpW1, GaussianRho, PolarPhase, choose_M
-from inflap.reports import emit_report
+from inflap.reports import emit_report, parse_report
 from inflap.scenarios import ScenarioConfig, run_scenario
 
 INV_E = 0.36787944117144233          # exp(-1)
@@ -39,13 +39,19 @@ def reports():
     }
 
 
-def test_criterion_1_residual_certification(reports):
+@pytest.fixture(scope="module")
+def docs(reports):
+    """Each scenario's report as the JSON object the CLI emits."""
+    return {name: parse_report(emit_report(rep))["reports"][0] for name, rep in reports.items()}
+
+
+def test_criterion_1_residual_certification(docs):
     with criterion(1, "residual certification, analytic and fd paths"):
         for name in ("ex1a", "ex1b", "ex2", "ex3"):
-            rep = reports[name]
-            m = rep.sections["speed_bound"]["M"]
-            analytic = rep.sections["residual"]["analytic"]
-            fd = rep.sections["residual"]["fd"]
+            rep = docs[name]
+            m = rep["speed_bound"]["M"]
+            analytic = rep["residual"]["analytic"]
+            fd = rep["residual"]["fd"]
             assert analytic["points"] >= 2001
             assert analytic["tol"] == 1e-8 * m**3
             assert analytic["sup_residual"] <= analytic["tol"]
@@ -53,31 +59,31 @@ def test_criterion_1_residual_certification(reports):
             assert fd["tol"] == 1e-3 * m**3
             assert fd["sup_residual"] <= fd["tol"]
             assert fd["pass"]
-            assert rep.timings["total_s"] < 2.0
+            assert rep["timings"]["total_s"] < 2.0
 
 
-def test_criterion_2_modulus_margin(reports):
+def test_criterion_2_modulus_margin(docs):
     with criterion(2, "sup 1 vs boundary 1/e for the polar construction"):
-        v = reports["ex2"].sections["principle"]["modulus"]
+        v = docs["ex2"]["principle"]["modulus"]
         assert abs(v["sup_interior"] - 1.0) <= 1e-9
         assert abs(v["max_boundary"] - INV_E) <= 1e-9
         assert abs(v["margin"] - ONE_MINUS_INV_E) <= 1e-9
 
 
-def test_criterion_3_hull_failure(reports):
+def test_criterion_3_hull_failure(docs):
     with criterion(3, "convex hull failure with 1/e escape distance"):
-        rep = reports["ex1b"]
-        hull = rep.sections["hull"]
+        rep = docs["ex1b"]
+        hull = rep["hull"]
         assert hull["contained"] is False
         assert abs(hull["max_outside_distance"] - INV_E) <= 1e-6
-        assert rep.sections["principle"]["xi_e1"]["max_boundary"] == 0.0
+        assert rep["principle"]["xi_e1"]["max_boundary"] == 0.0
 
 
-def test_criterion_4_two_sided_principle_failure(reports):
+def test_criterion_4_two_sided_principle_failure(docs):
     with criterion(4, "one slab breaks the maximum, the other the minimum principle"):
         for name, keys in (("ex1a", ("xi_e1_minus", "xi_e1_plus")),
                            ("ex3", ("v_minus", "v_plus"))):
-            verdicts = [reports[name].sections["principle"][k] for k in keys]
+            verdicts = [docs[name]["principle"][k] for k in keys]
             max_flags = [v["max_violation"] for v in verdicts]
             min_flags = [v["min_violation"] for v in verdicts]
             assert sum(max_flags) == 1
@@ -92,16 +98,16 @@ def test_criterion_4_two_sided_principle_failure(reports):
                 assert v["min_boundary"] == 0.0
 
 
-def test_criterion_5_eikonal_conservation(reports):
+def test_criterion_5_eikonal_conservation(docs):
     with criterion(5, "constant squared gradient norm on all scenario grids"):
         for name in ("ex1a", "ex1b", "ex2"):
-            c = reports[name].sections["conservation"]
+            c = docs[name]["conservation"]
             assert c["max_dev"] <= 1e-9 * c["target_sq"]
 
 
-def test_criterion_6_operator_property_suite(reports):
+def test_criterion_6_operator_property_suite(docs):
     with criterion(6, "projection, perpendicularity, gradient identity, scalar normal"):
-        p = reports["properties"].sections["properties"]
+        p = docs["properties"]["properties"]
         proj = p["projection"]
         assert proj["samples"] >= 500
         assert proj["max_asymmetry"] <= 1e-12
@@ -114,9 +120,9 @@ def test_criterion_6_operator_property_suite(reports):
         assert p["scalar_normal_zero"]["max_abs"] == 0.0
 
 
-def test_criterion_7_polar_identity(reports):
+def test_criterion_7_polar_identity(docs):
     with criterion(7, "energy split of the polar decomposition"):
-        polar = reports["properties"].sections["properties"]["polar_identity"]
+        polar = docs["properties"]["properties"]["polar_identity"]
         assert polar["samples"] >= 100
         assert polar["max_relative_error"] <= 1e-9
         assert polar["max_direction_dot"] <= 1e-12

@@ -1,0 +1,36 @@
+"""The benchmark's traced run and set-up probe still run against the library.
+
+A renamed or deleted name they look up, or a checker bound in a table at
+import (which hides its calls from the traced run), fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+
+
+def _run(args):
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_traced_run_reaches_every_layer(tmp_path):
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    proc = _run(["benchmarks/tracer.py", str(trace), "--",
+                 "all", "--grid", "51", "--no-timings", "--out", str(report)])
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(trace.read_text())["calls"]
+    for key in ("checkers.residual_analytic", "checkers.residual_fd", "checkers.principle",
+                "checkers.hull", "maps.fd_jet", "quadrature.panel", "operators"):
+        assert calls.get(key, 0) > 0, key
+
+
+def test_setup_probe_runs():
+    proc = _run(["benchmarks/setup_probe.py", "all"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["setup_s"] > 0.0

@@ -7,7 +7,6 @@ from inflap.checkers import (
     CheckEvaluationError,
     DomainSpec,
     annulus_domain,
-    box_domain,
     conservation_check,
     directional_check,
     hull_check,
@@ -18,7 +17,6 @@ from inflap.checkers import (
 )
 from inflap.hull import convex_hull, distance_outside, max_outside_distance
 from inflap.maps import (
-    AffineMap,
     CurveMap,
     PolarSpiralMap,
     RadialCurveMap,
@@ -33,6 +31,8 @@ from inflap.profiles import (
     PolarPhase,
     choose_M,
 )
+
+from helpers import affine_map, box_domain
 
 INV_E = math.exp(-1.0)
 WITNESSES = (0.0, 1.0, -1.0, 2.0)
@@ -246,14 +246,14 @@ class TestHullChecks:
         assert h.max_outside_distance == pytest.approx(INV_E, abs=1e-9)
 
     def test_affine_on_box_is_contained(self):
-        mp = AffineMap(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
+        mp = affine_map(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=9)
         h = hull_check(mp, d)
         assert h.contained
         assert h.max_outside_distance <= 1e-12
 
     def test_contained_implies_no_directional_violation(self):
-        mp = AffineMap(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
+        mp = affine_map(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=9)
         assert hull_check(mp, d).contained
         for k in range(64):
@@ -290,11 +290,11 @@ class TestHullGeometry:
         for _ in range(20):
             boundary = rng.normal(size=(15, 2))
             interior = rng.normal(size=(25, 2)) * 1.5
-            d0, _, _ = max_outside_distance(interior, boundary)
+            d0, _ = max_outside_distance(interior, boundary)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             rot = np.array([[math.cos(theta), -math.sin(theta)],
                             [math.sin(theta), math.cos(theta)]])
-            d1, _, _ = max_outside_distance(interior @ rot.T, boundary @ rot.T)
+            d1, _ = max_outside_distance(interior @ rot.T, boundary @ rot.T)
             assert abs(d0 - d1) <= 1e-9
 
 
@@ -316,13 +316,13 @@ class TestConservation:
         assert conservation_check(u3, d).max_dev <= 1e-9 * sb.M**2
 
     def test_explicit_target(self):
-        mp = AffineMap(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2))
+        mp = affine_map(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=5)
         rep = conservation_check(mp, d, target_sq=25.0)
         assert rep.max_dev == 0.0
 
     def test_missing_target_rejected(self):
-        mp = AffineMap(np.eye(2), np.zeros(2))
+        mp = affine_map(np.eye(2), np.zeros(2))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=5)
         with pytest.raises(ValueError):
             conservation_check(mp, d)

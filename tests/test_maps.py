@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from inflap.maps import (
-    AffineMap,
     CurveMap,
     MapDomainError,
     PerturbationPotentialMap,
@@ -23,6 +22,8 @@ from inflap.profiles import (
     PolarPhase,
     choose_M,
 )
+
+from helpers import affine_map
 
 INV_E = math.exp(-1.0)
 
@@ -251,7 +252,7 @@ class TestSyntheticMaps:
     def test_affine_jets(self):
         a = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 3.0]])
         b = np.array([0.5, -0.5, 0.0])
-        mp = AffineMap(a, b)
+        mp = affine_map(a, b)
         m = mp.map_jet([1.0, 1.0])
         assert np.array_equal(m.value, a @ [1.0, 1.0] + b)
         assert np.array_equal(m.jacobian, a)
@@ -288,6 +289,6 @@ class TestPolarDecomposition:
             assert np.abs(pd.direction @ pd.grad_direction).max() <= 1e-12
 
     def test_vanishing_map_rejected(self):
-        mp = AffineMap(np.eye(2), np.zeros(2))
+        mp = affine_map(np.eye(2), np.zeros(2))
         with pytest.raises(MapDomainError):
             polar_decompose(mp.map_jet([0.0, 0.0]))

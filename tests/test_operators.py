@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from inflap.maps import (
-    AffineMap,
     CurveMap,
     MapJet,
     PerturbationPotentialMap,
@@ -20,6 +19,8 @@ from inflap.operators import (
     tangential,
 )
 from inflap.profiles import ArcComplement, BumpW1, choose_M
+
+from helpers import affine_map
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ class TestTangential:
             assert np.linalg.norm(tangential(u1.map_jet([float(t)]))) <= 1e-9 * sb.M**3
 
     def test_zero_hessian_gives_zero(self):
-        mp = AffineMap(np.array([[1.0, 0.0]]), np.zeros(1))
+        mp = affine_map(np.array([[1.0, 0.0]]), np.zeros(1))
         assert np.all(tangential(mp.map_jet([2.0, 3.0])) == 0.0)
 
     def test_matches_fd_gradient_identity(self):
@@ -158,7 +159,7 @@ class TestNormal:
 
 class TestFullOperator:
     def test_affine_maps_are_solutions(self):
-        mp = AffineMap(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+        mp = affine_map(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
         ov = infinity_laplacian(mp.map_jet([0.3, -0.7]))
         assert np.all(ov.full == 0.0)
 
@@ -224,8 +225,8 @@ class TestPerturbedScalar:
             assert abs(r) <= 1e-9 * sb.M**3
 
     def test_linear_profile_with_no_forcing(self):
-        v = AffineMap(np.array([[1.0, 0.0]]), np.zeros(1))
-        f = AffineMap(np.array([[0.0, 0.0]]), np.zeros(1))
+        v = affine_map(np.array([[1.0, 0.0]]), np.zeros(1))
+        f = affine_map(np.array([[0.0, 0.0]]), np.zeros(1))
         assert perturbed_scalar(v.map_jet([1.0, 2.0]), f.map_jet([1.0, 2.0])) == 0.0
 
     def test_quadratic_profile_expansion(self):

@@ -6,47 +6,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflap.profiles import ArcComplement, BumpW1, choose_M
-from inflap.quadrature import QuadratureError, gauss_kronrod_15, integrate
+from inflap.quadrature import gauss_kronrod_15
 
 
 def test_constant_on_unit_interval():
-    res = integrate(lambda x: 1.0, 0.0, 1.0)
-    assert res.value == pytest.approx(1.0, abs=1e-14)
-    assert res.error_estimate >= 0.0
-    assert res.evaluations >= 15
+    val, err = gauss_kronrod_15(lambda x: 1.0, 0.0, 1.0)
+    assert val == pytest.approx(1.0, abs=1e-14)
+    assert err >= 0.0
 
 
 def test_sin_over_half_period():
-    res = integrate(math.sin, 0.0, math.pi)
-    assert res.value == pytest.approx(2.0, abs=1e-12)
+    val, _ = gauss_kronrod_15(math.sin, 0.0, math.pi)
+    assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_orientation_flips_sign():
-    fwd = integrate(math.exp, 0.0, 1.0)
-    bwd = integrate(math.exp, 1.0, 0.0)
-    assert bwd.value == -fwd.value
+    fwd, _ = gauss_kronrod_15(math.exp, 0.0, 1.0)
+    bwd, _ = gauss_kronrod_15(math.exp, 1.0, 0.0)
+    assert bwd == -fwd
 
 
 def test_empty_interval_is_zero():
-    res = integrate(math.exp, 2.0, 2.0)
-    assert res == type(res)(0.0, 0.0, 0)
+    assert gauss_kronrod_15(math.exp, 2.0, 2.0) == (0.0, 0.0)
 
 
 def test_odd_function_integrates_to_zero():
+    # the nodes are symmetric about the midpoint, so the terms cancel
     f = lambda x: x * math.exp(-x * x) + math.sin(3.0 * x)  # noqa: E731
-    res = integrate(f, -2.5, 2.5, tol=1e-12)
-    assert abs(res.value) <= 1e-12
+    val, _ = gauss_kronrod_15(f, -2.5, 2.5)
+    assert abs(val) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-1.8, max_value=1.8))
 def test_additivity_at_split_point(c):
     f = lambda x: math.exp(0.3 * x) * math.cos(2.0 * x)  # noqa: E731
-    tol = 1e-10
-    whole = integrate(f, -2.0, 2.0, tol=tol)
-    left = integrate(f, -2.0, c, tol=tol)
-    right = integrate(f, c, 2.0, tol=tol)
-    assert abs(whole.value - (left.value + right.value)) <= 2.0 * tol
+    whole, _ = gauss_kronrod_15(f, -2.0, 2.0)
+    left, _ = gauss_kronrod_15(f, -2.0, c)
+    right, _ = gauss_kronrod_15(f, c, 2.0)
+    assert abs(whole - (left + right)) <= 2e-10
 
 
 def _richardson_trapezoid(f, a, b, n=1 << 20):
@@ -60,25 +58,13 @@ def _richardson_trapezoid(f, a, b, n=1 << 20):
 
 
 def test_speed_integrand_matches_richardson_oracle():
+    # the cumulative table the library evaluates, against an oracle that
+    # shares only the integrand with it
     w1 = BumpW1()
     sb = choose_M(w1, samples=20_000)
-    f = ArcComplement(w1, sb.M)._speed
-    oracle = _richardson_trapezoid(f, 0.0, 2.0)
-    res = integrate(f, 0.0, 2.0, tol=1e-12)
-    assert res.value == pytest.approx(oracle, abs=1e-10)
-
-
-def test_step_discontinuity_raises_with_worst_interval():
-    f = lambda x: 0.0 if x < 1.0 / 3.0 else 1e6  # noqa: E731
-    with pytest.raises(QuadratureError) as exc:
-        integrate(f, 0.0, 1.0, tol=1e-14)
-    assert "interval" in str(exc.value)
-
-
-def test_panel_budget_raises():
-    f = lambda x: math.copysign(1.0, math.sin(1.0 / (x + 1e-9)))  # noqa: E731
-    with pytest.raises(QuadratureError):
-        integrate(f, 0.0, 1.0, tol=1e-13, max_panels=64)
+    w2 = ArcComplement(w1, sb.M)
+    oracle = _richardson_trapezoid(w2._speed, 0.0, 2.0)
+    assert w2.value(2.0) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_gk15_panel_exact_on_low_degree_polynomials():
@@ -87,8 +73,3 @@ def test_gk15_panel_exact_on_low_degree_polynomials():
     val, err = gauss_kronrod_15(lambda x: x**6, -1.0, 1.0)
     assert val == pytest.approx(2.0 / 7.0, rel=1e-14)
     assert err <= 1e-14
-
-
-def test_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        integrate(math.sin, 0.0, 1.0, tol=0.0)

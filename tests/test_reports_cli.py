@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,19 +16,72 @@ from inflap.reports import (
     emit_profile_tables,
     emit_report,
     parse_report,
+    report_dict,
     report_rows,
 )
-from inflap.scenarios import ScenarioConfig, run_scenario, validate_config
+from inflap.scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario, validate_config
 
 INV_E = math.exp(-1.0)
 
 # fast config used throughout: dense enough for all margins here
 FAST = dict(grid_points=201, cache_cells=256)
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: (check, metric, status) of each CSV row, in emission order
+EXPECTED_ROWS = {
+    "ex1a": [
+        ("residual_analytic", "sup_residual", "pass"),
+        ("residual_fd", "sup_residual", "pass"),
+        ("conservation", "max_dev", "pass"),
+        ("principle_xi_e1_minus", "margin", "info"),
+        ("principle_xi_e1_plus", "margin", "info"),
+        ("principle_xi_e2_minus", "margin", "info"),
+        ("principle_xi_e2_plus", "margin", "info"),
+        ("hull", "max_outside_distance", "outside"),
+        ("overall", "overall_pass", "pass"),
+    ],
+    "ex1b": [
+        ("residual_analytic", "sup_residual", "pass"),
+        ("residual_fd", "sup_residual", "pass"),
+        ("conservation", "max_dev", "pass"),
+        ("principle_xi_e1", "margin", "info"),
+        ("hull", "max_outside_distance", "outside"),
+        ("overall", "overall_pass", "pass"),
+    ],
+    "ex2": [
+        ("residual_analytic", "sup_residual", "pass"),
+        ("residual_fd", "sup_residual", "pass"),
+        ("conservation", "max_dev", "pass"),
+        ("principle_modulus", "margin", "info"),
+        ("overall", "overall_pass", "pass"),
+    ],
+    "ex3": [
+        ("residual_analytic", "sup_residual", "pass"),
+        ("residual_fd", "sup_residual", "pass"),
+        ("principle_v_minus", "margin", "info"),
+        ("principle_v_plus", "margin", "info"),
+        ("overall", "overall_pass", "pass"),
+    ],
+    "properties": [
+        ("property_perpendicularity", "max_relative_dot", "pass"),
+        ("property_polar_identity", "max_relative_error", "pass"),
+        ("property_projection", "max_asymmetry", "pass"),
+        ("property_scalar_normal_zero", "max_abs", "pass"),
+        ("property_tangential_gradient_identity", "max_relative_error", "pass"),
+        ("overall", "overall_pass", "pass"),
+    ],
+}
+
 
 @pytest.fixture(scope="module")
-def ex2_report():
-    return run_scenario(ScenarioConfig(scenario="ex2", **FAST))
+def fast_reports():
+    return {name: run_scenario(ScenarioConfig(scenario=name, **FAST)) for name in SCENARIO_NAMES}
+
+
+@pytest.fixture(scope="module")
+def ex2_report(fast_reports):
+    return fast_reports["ex2"]
 
 
 class TestCanonicalJson:
@@ -61,7 +117,7 @@ class TestReportEmission:
         assert margin == pytest.approx(1.0 - INV_E, abs=1e-9)
 
     def test_roundtrip_is_bit_exact(self, ex2_report):
-        original = ex2_report.to_dict(with_timings=False)
+        original = report_dict(ex2_report, with_timings=False)
         parsed = parse_report(emit_report(ex2_report, with_timings=False))["reports"][0]
 
         def compare(a, b):
@@ -88,14 +144,14 @@ class TestReportEmission:
         del with_t["timings"]
         assert dumps_canonical(with_t) == dumps_canonical(without)
 
-    def test_csv_row_count_matches_executed_checks(self, ex2_report):
-        payload = emit_report(ex2_report, fmt="csv").decode()
-        rows = list(csv.reader(io.StringIO(payload)))
-        assert tuple(rows[0]) == CSV_HEADER
-        s = ex2_report.sections
-        executed = 2 + 1 + len(s["principle"]) + 1  # residuals, conservation, principle, overall
-        assert len(rows) - 1 == executed
-        assert len(report_rows(ex2_report)) == executed
+    def test_csv_row_count_matches_executed_checks(self, fast_reports):
+        for name, report in fast_reports.items():
+            payload = emit_report(report, fmt="csv").decode()
+            rows = list(csv.reader(io.StringIO(payload)))
+            assert tuple(rows[0]) == CSV_HEADER
+            assert [(r[1], r[3], r[6]) for r in rows[1:]] == EXPECTED_ROWS[name]
+            assert all(r[0] == name for r in rows[1:])
+            assert len(report_rows(report)) == len(rows) - 1
 
     def test_unknown_format_rejected(self, ex2_report):
         with pytest.raises(ValueError):
@@ -114,7 +170,7 @@ class TestDeterminism:
         b = run_scenario(ScenarioConfig(scenario="properties", seed=5, **FAST))
         c = run_scenario(ScenarioConfig(scenario="properties", seed=6, **FAST))
         assert emit_report(a, with_timings=False) == emit_report(b, with_timings=False)
-        stat = lambda r: r.sections["properties"]["perpendicularity"]["max_relative_dot"]  # noqa: E731
+        stat = lambda r: r.properties["perpendicularity"].stats["max_relative_dot"]  # noqa: E731
         assert stat(a) != stat(c)
 
 
@@ -196,13 +252,30 @@ class TestCli:
         assert cfg["seed"] == 3
 
     def test_no_timings_is_byte_stable(self, tmp_path):
-        # identical argv both times: the out path is echoed in the config
-        out = tmp_path / "report.json"
-        argv = ["ex2", "--grid", "201", "--no-timings", "--out", str(out)]
-        assert main(argv) == 0
-        first = out.read_bytes()
-        assert main(argv) == 0
-        assert out.read_bytes() == first
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["ex2", "--grid", "201", "--no-timings", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("argv, config, field", [
+        (["ex3", "--safety", "nan"], None, "safety"),
+        (["ex3", "--safety", "inf"], None, "safety"),
+        (["ex3", "--tol-scale", "nan"], None, "residual_tol_scale"),
+        (["properties", "--seed", "-1"], None, "seed"),
+        (["ex1b"], "hull_tol=nan\n", "hull_tol"),
+    ], ids=["safety_nan", "safety_inf", "tol_scale_nan", "seed_negative", "config_hull_tol_nan"])
+    def test_non_finite_or_out_of_range_value_exit_two(self, tmp_path, argv, config, field):
+        if config is not None:
+            cfgfile = tmp_path / "cfg"
+            cfgfile.write_text(config)
+            argv = [*argv, "--config", str(cfgfile)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "inflap.cli", *argv, "--out", str(tmp_path / "r.json")],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "report.csv"
