@@ -15,11 +15,9 @@ from .jets import (
     Jet2,
     JetDomainError,
     fd_jet,
-    jet_constant,
     jet_cos,
     jet_exp,
     jet_lift,
-    jet_log,
     jet_sin,
     jet_sqrt,
 )
@@ -35,7 +33,6 @@ from .profiles import (
     SpeedBound,
     choose_M,
     estimate_sup_abs_d1,
-    unit_circle_jets,
 )
 from .maps import (
     CurveMap,

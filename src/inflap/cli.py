@@ -6,7 +6,7 @@ Scenarios: ex1a ex1b ex2 ex3 properties (or "all").  A flat key=value
 config file supplies defaults for any ScenarioConfig field and for
 out_path; command-line flags override the file.  Exit codes: 0 all
 checks passed, 1 a check failed, 2 configuration error, 3 runtime
-evaluation error.
+evaluation error, 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_EVALUATION_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,6 +68,11 @@ def _read_config_file(path: str) -> dict:
             key, _, raw = line.partition("=")
             values[key.strip()] = raw.strip()
     return values
+
+
+def _internal_error(exc: Exception) -> int:
+    print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL_ERROR
 
 
 def main(argv=None) -> int:
@@ -113,9 +119,14 @@ def main(argv=None) -> int:
         except EvaluationError as exc:
             print(f"error: scenario {name} aborted: {exc}", file=sys.stderr)
             return EXIT_EVALUATION_ERROR
+        except Exception as exc:
+            return _internal_error(exc)
 
     fmt = base.get("format", "json")
-    payload = emit_report(reports, fmt=fmt, with_timings=not args.no_timings)
+    try:
+        payload = emit_report(reports, fmt=fmt, with_timings=not args.no_timings)
+    except Exception as exc:
+        return _internal_error(exc)
     if out_path:
         try:
             with open(out_path, "wb") as fh:
@@ -133,6 +144,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write profile tables: {exc}", file=sys.stderr)
             return EXIT_EVALUATION_ERROR
+        except Exception as exc:
+            return _internal_error(exc)
 
     if all(r.overall_pass for r in reports):
         return EXIT_OK

@@ -17,9 +17,7 @@ __all__ = [
     "EvaluationError",
     "JetDomainError",
     "jet_lift",
-    "jet_constant",
     "jet_exp",
-    "jet_log",
     "jet_sin",
     "jet_cos",
     "jet_sqrt",
@@ -106,34 +104,15 @@ class Jet2:
     def __rtruediv__(self, other):
         return self._reciprocal() * other
 
-    def __pow__(self, p):
-        if isinstance(p, Jet2):
-            raise TypeError("jet exponents are not supported")
-        f0 = self.val**p
-        f1 = p * self.val ** (p - 1) if p != 0 else 0.0
-        f2 = p * (p - 1) * self.val ** (p - 2) if p not in (0, 1) else 0.0
-        return self.chain(f0, f1, f2)
-
 
 def jet_lift(t: float) -> Jet2:
     """The identity jet at t: the curve parameter itself."""
     return Jet2(t, 1.0, 0.0)
 
 
-def jet_constant(c: float) -> Jet2:
-    return Jet2(c, 0.0, 0.0)
-
-
 def jet_exp(j: Jet2) -> Jet2:
     e = math.exp(j.val)
     return j.chain(e, e, e)
-
-
-def jet_log(j: Jet2) -> Jet2:
-    if j.val <= 0.0:
-        raise JetDomainError(f"log of non-positive jet value {j.val!r}")
-    r = 1.0 / j.val
-    return j.chain(math.log(j.val), r, -r * r)
 
 
 def jet_sin(j: Jet2) -> Jet2:

@@ -1,9 +1,12 @@
 """Solution maps built from the scalar profiles, with exact pointwise jets.
 
-Every map here factors through one scalar variable (the first coordinate or
-the radius), so multivariate jacobians and hessians are assembled from the
-univariate profile jets by the chain rule.  Planar constructions embed into
-higher target dimension by zero padding, which preserves every identity.
+Every profile map factors through one scalar variable (the first coordinate
+or the radius) and states its components once, as a formula in that
+variable.  The formula takes a float or a Jet2, as the profiles do: on a
+float it gives the map's value, on the identity jet the univariate jets
+from which the multivariate jacobians and hessians are assembled by the
+chain rule.  Planar constructions embed into higher target dimension by
+zero padding, which preserves every identity.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError, jet_cos, jet_sin
+from .jets import EvaluationError, Jet2, jet_cos, jet_lift, jet_sin
 from .profiles import ArcComplement, GaussianRho, PolarPhase, Profile
 
 __all__ = [
@@ -88,19 +91,38 @@ class VectorMap:
         return self.map_jet(x).value
 
 
-def _jet_from_x1(jets, n: int, N: int) -> MapJet:
-    """MapJet for components depending on x1 only, given their Jet2 list."""
-    value = np.zeros(N)
-    jac = np.zeros((N, n))
-    hess = np.zeros((N, n, n))
-    for a, j in enumerate(jets):
-        value[a] = j.val
-        jac[a, 0] = j.d1
-        hess[a, 0, 0] = j.d2
-    return MapJet(value, jac, hess)
+class _ProfileMap(VectorMap):
+    """A map whose components are profile formulas in one scalar variable.
+
+    ``_components(s)`` states them once: on a float it returns their
+    values, on the identity jet of s their jets in s.  The variable is the
+    first coordinate; target components past the formulas are zero padding.
+    """
+
+    def _components(self, s):
+        raise NotImplementedError
+
+    def _variable(self, x) -> float:
+        return float(self._as_point(x)[0])
+
+    def value(self, x) -> np.ndarray:
+        out = np.zeros(self.N)
+        for a, v in enumerate(self._components(self._variable(x))):
+            out[a] = v
+        return out
+
+    def map_jet(self, x) -> MapJet:
+        value = np.zeros(self.N)
+        jac = np.zeros((self.N, self.n))
+        hess = np.zeros((self.N, self.n, self.n))
+        for a, j in enumerate(self._components(jet_lift(self._variable(x)))):
+            value[a] = j.val
+            jac[a, 0] = j.d1
+            hess[a, 0, 0] = j.d2
+        return MapJet(value, jac, hess)
 
 
-class CurveMap(VectorMap):
+class CurveMap(_ProfileMap):
     """Planar curve graph x -> (p(x1), q(x1), 0, ...).
 
     With q the arc complement of p this is a constant-speed curve composed
@@ -117,30 +139,14 @@ class CurveMap(VectorMap):
         self.second = second
         self.speed_bound = second.M
 
-    def map_jet(self, x) -> MapJet:
-        t = float(self._as_point(x)[0])
-        return _jet_from_x1([self.first.jet(t), self.second.jet(t)], self.n, self.N)
-
-    def value(self, x) -> np.ndarray:
-        t = float(self._as_point(x)[0])
-        out = np.zeros(self.N)
-        out[0] = self.first.value(t)
-        out[1] = self.second.value(t)
-        return out
+    def _components(self, s):
+        return self.first.value(s), self.second.value(s)
 
 
-class RadialCurveMap(VectorMap):
+class RadialCurveMap(CurveMap):
     """Radial composition x -> (p(|x|), q(|x|), 0, ...), undefined at 0."""
 
     family = "radial_curve"
-
-    def __init__(self, first: Profile, second: ArcComplement, n: int = 1, N: int = 2):
-        if N < 2:
-            raise ValueError("curve maps need target dimension N >= 2")
-        super().__init__(n, N)
-        self.first = first
-        self.second = second
-        self.speed_bound = second.M
 
     def _radius(self, x) -> tuple[np.ndarray, float]:
         p = self._as_point(x)
@@ -148,6 +154,9 @@ class RadialCurveMap(VectorMap):
         if r == 0.0:
             raise MapDomainError("radial map is undefined at the origin")
         return p, r
+
+    def _variable(self, x) -> float:
+        return self._radius(x)[1]
 
     def map_jet(self, x) -> MapJet:
         p, r = self._radius(x)
@@ -157,21 +166,14 @@ class RadialCurveMap(VectorMap):
         value = np.zeros(self.N)
         jac = np.zeros((self.N, self.n))
         hess = np.zeros((self.N, self.n, self.n))
-        for a, j in enumerate([self.first.jet(r), self.second.jet(r)]):
+        for a, j in enumerate(self._components(jet_lift(r))):
             value[a] = j.val
             jac[a] = j.d1 * unit
             hess[a] = j.d2 * outer + j.d1 * angular
         return MapJet(value, jac, hess)
 
-    def value(self, x) -> np.ndarray:
-        _, r = self._radius(x)
-        out = np.zeros(self.N)
-        out[0] = self.first.value(r)
-        out[1] = self.second.value(r)
-        return out
 
-
-class PolarSpiralMap(VectorMap):
+class PolarSpiralMap(_ProfileMap):
     """Polar construction x -> rho(x1) * (cos K(x1), sin K(x1), 0, ...).
 
     The modulus is the Gaussian profile and the phase makes the speed
@@ -188,23 +190,15 @@ class PolarSpiralMap(VectorMap):
         self.phase = phase
         self.speed_bound = phase.M
 
-    def map_jet(self, x) -> MapJet:
-        t = float(self._as_point(x)[0])
-        jr = self.rho.jet(t)
-        jk = self.phase.jet(t)
-        return _jet_from_x1([jr * jet_cos(jk), jr * jet_sin(jk)], self.n, self.N)
-
-    def value(self, x) -> np.ndarray:
-        t = float(self._as_point(x)[0])
-        r = self.rho.value(t)
-        k = self.phase.value(t)
-        out = np.zeros(self.N)
-        out[0] = r * math.cos(k)
-        out[1] = r * math.sin(k)
-        return out
+    def _components(self, s):
+        r = self.rho.value(s)
+        k = self.phase.value(s)
+        if isinstance(s, Jet2):
+            return r * jet_cos(k), r * jet_sin(k)
+        return r * math.cos(k), r * math.sin(k)
 
 
-class ScalarProfileMap(VectorMap):
+class ScalarProfileMap(_ProfileMap):
     """Scalar map x -> p(x1), lifted to n source dimensions."""
 
     family = "scalar_profile"
@@ -213,16 +207,11 @@ class ScalarProfileMap(VectorMap):
         super().__init__(n, 1)
         self.profile = profile
 
-    def map_jet(self, x) -> MapJet:
-        t = float(self._as_point(x)[0])
-        return _jet_from_x1([self.profile.jet(t)], self.n, 1)
-
-    def value(self, x) -> np.ndarray:
-        t = float(self._as_point(x)[0])
-        return np.array([self.profile.value(t)])
+    def _components(self, s):
+        return (self.profile.value(s),)
 
 
-class PerturbationPotentialMap(VectorMap):
+class PerturbationPotentialMap(_ProfileMap):
     """Scalar potential x -> (M² - base'(x1)²) / 2.
 
     This is half the squared slope of the arc complement of the base, in
@@ -237,16 +226,9 @@ class PerturbationPotentialMap(VectorMap):
         self.base = base
         self.M = float(M)
 
-    def map_jet(self, x) -> MapJet:
-        t = float(self._as_point(x)[0])
-        jp = self.base.d1_jet(t)
-        jf = (self.M * self.M - jp * jp) * 0.5
-        return _jet_from_x1([jf], self.n, 1)
-
-    def value(self, x) -> np.ndarray:
-        t = float(self._as_point(x)[0])
-        p1 = self.base.d1(t)
-        return np.array([0.5 * (self.M * self.M - p1 * p1)])
+    def _components(self, s):
+        p1 = self.base.d1(s)
+        return ((self.M * self.M - p1 * p1) * 0.5,)
 
 
 class TrigQuadMap(VectorMap):

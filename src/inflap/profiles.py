@@ -6,12 +6,14 @@ integral-defined companions: ``ArcComplement``, which completes a profile
 to a constant-speed pair, and ``PolarPhase``, the phase whose derivative is
 sqrt(M² - ρ'²)/ρ.
 
-Every profile exposes
+Every profile writes two formulas, ``value(t)`` and ``d1(t)`` (its
+derivative).  Each takes a float or a :class:`Jet2` and returns the same
+kind: on a float it gives the number, on a jet it also carries the first
+two derivatives.  The base class derives from them
 
 * ``jet(t)``    -- Jet2 of the profile itself (value, d1, d2),
 * ``d1_jet(t)`` -- Jet2 of the profile's *derivative* (d1, d2, d3), used
-  where a third derivative of the profile is needed downstream,
-* ``value(t)`` / ``d1(t)`` -- fast scalar paths for dense sampling.
+  where a third derivative of the profile is needed downstream.
 
 Integral-defined values are tabulated once by cumulative panel integration
 on a fixed grid anchored exactly at t = 0; point evaluation adds a short
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, JetDomainError, jet_cos, jet_exp, jet_lift, jet_sin, jet_sqrt
+from .jets import EvaluationError, Jet2, JetDomainError, jet_exp, jet_lift, jet_sqrt
 from .quadrature import gauss_kronrod_15
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "SpeedBound",
     "estimate_sup_abs_d1",
     "choose_M",
-    "unit_circle_jets",
 ]
 
 # The bump branches evaluate exp(1/d) with d = s² - 1 < 0.  Once 1/d drops
@@ -54,7 +55,12 @@ class PhaseRangeError(EvaluationError):
 
 
 class Profile:
-    """Base class: a scalar C-infinity function of one real variable."""
+    """Base class: a scalar C-infinity function of one real variable.
+
+    Subclasses write ``value`` and ``d1`` for an argument that is a float
+    or a Jet2.  On a float they allocate no jet: that path runs for every
+    dense sample and every quadrature node.
+    """
 
     kind = "profile"
     #: interval outside which the derivative vanishes (may be infinite)
@@ -62,92 +68,60 @@ class Profile:
     #: finite interval on which to search for sup |derivative|
     sup_search_interval: tuple[float, float] = (-6.0, 6.0)
 
-    def jet(self, t: float) -> Jet2:
+    def value(self, t):
         raise NotImplementedError
+
+    def d1(self, t):
+        raise NotImplementedError
+
+    def jet(self, t: float) -> Jet2:
+        return self.value(jet_lift(t))
 
     def d1_jet(self, t: float) -> Jet2:
         """Jet of the derivative: (p', p'', p''') at t."""
-        raise NotImplementedError
-
-    def value(self, t: float) -> float:
-        return self.jet(t).val
-
-    def d1(self, t: float) -> float:
-        return self.d1_jet(t).val
-
-
-def _bump_jet(sj: Jet2, sign: float) -> Jet2:
-    """Jet of sign * exp(1/(s² - 1)) for the branch variable jet sj."""
-    d = sj * sj - 1.0
-    if d.val >= _SEAM_CUTOFF:
-        return Jet2(0.0)
-    return jet_exp(1.0 / d) * sign
-
-
-def _bump_d1_jet(sj: Jet2, sign: float) -> Jet2:
-    """Jet of the branch derivative sign * exp(1/d) * (-d'/d²)."""
-    d = sj * sj - 1.0
-    if d.val >= _SEAM_CUTOFF:
-        return Jet2(0.0)
-    dp = sj * (2.0 * sj.d1)  # jet of d' = 2 s s'  (s'' = 0)
-    u = 1.0 / d
-    up = -(dp / (d * d))
-    return jet_exp(u) * up * sign
-
-
-def _bump_value(s: float, sign: float) -> float:
-    d = s * s - 1.0
-    if d >= _SEAM_CUTOFF:
-        return 0.0
-    return sign * math.exp(1.0 / d)
-
-
-def _bump_d1(s: float, s1: float, sign: float) -> float:
-    d = s * s - 1.0
-    if d >= _SEAM_CUTOFF:
-        return 0.0
-    return sign * math.exp(1.0 / d) * (-2.0 * s * s1 / (d * d))
+        return self.d1(jet_lift(t))
 
 
 class _BranchBump(Profile):
-    """Shared evaluation for bumps of the form sign * exp(1/(s(t)² - 1)).
+    """Bumps of the form sign * exp(1/(s² - 1)) with s = offset + slope * t.
 
-    Subclasses provide ``_branch(t)`` returning (sign, jet of s) inside the
-    support and None outside; outside and at seams the jet is exactly zero,
-    the classical C-infinity limit.
+    Subclasses provide ``_branch(t)`` returning (sign, offset, slope) of the
+    branch containing t inside the support and None outside; outside and at
+    seams the profile is exactly zero, the classical C-infinity limit.
     """
 
     @staticmethod
     def _branch(t: float):
         raise NotImplementedError
 
-    def jet(self, t: float) -> Jet2:
-        b = self._branch(t)
-        if b is None:
-            return Jet2(0.0)
-        sign, sj = b
-        return _bump_jet(sj, sign)
+    def value(self, t):
+        is_jet = isinstance(t, Jet2)
+        b = self._branch(t.val if is_jet else t)
+        if b is not None:
+            sign, offset, slope = b
+            s = offset + slope * t
+            d = s * s - 1.0
+            if is_jet:
+                if d.val < _SEAM_CUTOFF:
+                    return jet_exp(1.0 / d) * sign
+            elif d < _SEAM_CUTOFF:
+                return sign * math.exp(1.0 / d)
+        return Jet2(0.0) if is_jet else 0.0
 
-    def d1_jet(self, t: float) -> Jet2:
-        b = self._branch(t)
-        if b is None:
-            return Jet2(0.0)
-        sign, sj = b
-        return _bump_d1_jet(sj, sign)
-
-    def value(self, t: float) -> float:
-        b = self._branch(t)
-        if b is None:
-            return 0.0
-        sign, sj = b
-        return _bump_value(sj.val, sign)
-
-    def d1(self, t: float) -> float:
-        b = self._branch(t)
-        if b is None:
-            return 0.0
-        sign, sj = b
-        return _bump_d1(sj.val, sj.d1, sign)
+    def d1(self, t):
+        # sign * exp(1/d) * (-d'/d²) with d' = 2 s s' and s' = slope
+        is_jet = isinstance(t, Jet2)
+        b = self._branch(t.val if is_jet else t)
+        if b is not None:
+            sign, offset, slope = b
+            s = offset + slope * t
+            d = s * s - 1.0
+            if is_jet:
+                if d.val < _SEAM_CUTOFF:
+                    return jet_exp(1.0 / d) * -(s * (2.0 * slope) / (d * d)) * sign
+            elif d < _SEAM_CUTOFF:
+                return math.exp(1.0 / d) * -(s * (2.0 * slope) / (d * d)) * sign
+        return Jet2(0.0) if is_jet else 0.0
 
 
 class BumpW1(_BranchBump):
@@ -165,9 +139,9 @@ class BumpW1(_BranchBump):
     @staticmethod
     def _branch(t: float):
         if 0.0 < t < 2.0:
-            return -1.0, Jet2(1.0 - t, -1.0, 0.0)
+            return -1.0, 1.0, -1.0
         if -2.0 < t < 0.0:
-            return 1.0, Jet2(1.0 + t, 1.0, 0.0)
+            return 1.0, 1.0, 1.0
         return None
 
 
@@ -181,7 +155,7 @@ class BumpZ1(_BranchBump):
     @staticmethod
     def _branch(t: float):
         if 1.0 < t < 3.0:
-            return 1.0, Jet2(2.0 - t, -1.0, 0.0)
+            return 1.0, 2.0, -1.0
         return None
 
 
@@ -191,19 +165,14 @@ class GaussianRho(Profile):
     kind = "rho_star"
     sup_search_interval = (-6.0, 6.0)
 
-    def jet(self, t: float) -> Jet2:
-        tj = jet_lift(t)
-        return jet_exp(-(tj * tj))
-
-    def d1_jet(self, t: float) -> Jet2:
-        tj = jet_lift(t)
-        return (-2.0 * tj) * jet_exp(-(tj * tj))
-
-    def value(self, t: float) -> float:
+    def value(self, t):
+        if isinstance(t, Jet2):
+            return jet_exp(-(t * t))
         return math.exp(-(t * t))
 
-    def d1(self, t: float) -> float:
-        return -2.0 * t * math.exp(-(t * t))
+    def d1(self, t):
+        e = jet_exp(-(t * t)) if isinstance(t, Jet2) else math.exp(-(t * t))
+        return -2.0 * t * e
 
 
 class _CumulativeTable:
@@ -223,7 +192,7 @@ class _CumulativeTable:
         self.step = (hi - lo) / cells
         self.j_lo = math.floor(lo / self.step)
         self.j_hi = math.ceil(hi / self.step)
-        self._integrand = integrand
+        self.integrand = integrand
         count = self.j_hi - self.j_lo
         panel = np.empty(count)
         for k in range(count):
@@ -253,11 +222,46 @@ class _CumulativeTable:
         base = float(self._cum[j - self.j_lo])
         if t == node:
             return base
-        corr, _ = gauss_kronrod_15(self._integrand, node, t)
+        corr, _ = gauss_kronrod_15(self.integrand, node, t)
         return base + corr
 
 
-class ArcComplement(Profile):
+class _IntegralProfile(Profile):
+    """A profile tabulated as the integral from 0 of its own ``d1``.
+
+    ``d1`` is built on sqrt(M² - p'²) for a profile p and is also the table
+    integrand.  On a jet, ``value`` returns the table value together with
+    the jet of ``d1``; that is the profile's jet for the identity jet
+    ``jet_lift(t)``, the only jet any caller passes.
+    """
+
+    M: float
+
+    def _integral(self, t: float) -> float:
+        raise NotImplementedError
+
+    def value(self, t):
+        if isinstance(t, Jet2):
+            v = self._integral(t.val)
+            jd = self.d1(t)
+            return Jet2(v, jd.val, jd.d1)
+        return self._integral(t)
+
+    def _root(self, p1, t):
+        """sqrt(M² - p1²) for p1 = p'(t), on a float or a jet."""
+        v = self.M * self.M - p1 * p1
+        if isinstance(v, Jet2):
+            if v.val > 0.0:
+                return jet_sqrt(v)
+        elif v > 0.0:
+            return math.sqrt(v)
+        raise JetDomainError(
+            f"speed bound {self.M!r} does not dominate the profile derivative "
+            f"at t={getattr(t, 'val', t)!r}"
+        )
+
+
+class ArcComplement(_IntegralProfile):
     """Arc-length complement of a base profile under a speed bound M.
 
     The derivative is sqrt(M² - base'²), so the pair (base, complement) has
@@ -277,18 +281,12 @@ class ArcComplement(Profile):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             lo, hi = base.sup_search_interval
         self.sup_search_interval = (lo, hi)
-        self._table = _CumulativeTable(self._speed, lo, hi, cells)
+        self._table = _CumulativeTable(self.d1, lo, hi, cells)
 
-    def _speed(self, s: float) -> float:
-        p1 = self.base.d1(s)
-        v = self.M * self.M - p1 * p1
-        if v <= 0.0:
-            raise JetDomainError(
-                f"speed bound {self.M!r} does not dominate the base derivative at s={s!r}"
-            )
-        return math.sqrt(v)
+    def d1(self, t):
+        return self._root(self.base.d1(t), t)
 
-    def value(self, t: float) -> float:
+    def _integral(self, t: float) -> float:
         tab = self._table
         if t > tab.t_hi:
             return tab.hi_value + self.M * (t - tab.t_hi)
@@ -296,35 +294,14 @@ class ArcComplement(Profile):
             return tab.lo_value + self.M * (t - tab.t_lo)
         return tab.value(t)
 
-    def d1(self, t: float) -> float:
-        p1 = self.base.d1(t)
-        if p1 == 0.0:
-            return self.M
-        v = self.M * self.M - p1 * p1
-        if v <= 0.0:
-            raise JetDomainError(
-                f"speed bound {self.M!r} does not dominate the base derivative at t={t!r}"
-            )
-        return math.sqrt(v)
 
-    def d1_jet(self, t: float) -> Jet2:
-        jp = self.base.d1_jet(t)
-        jq = jet_sqrt(self.M * self.M - jp * jp)
-        if jp.val == 0.0:
-            # sqrt(M*M) can be off by one ulp; the slope there is exactly M
-            return Jet2(self.M, jq.d1, jq.d2)
-        return jq
-
-    def jet(self, t: float) -> Jet2:
-        jd = self.d1_jet(t)
-        return Jet2(self.value(t), jd.val, jd.d1)
-
-
-class PolarPhase(Profile):
+class PolarPhase(_IntegralProfile):
     """Phase K(t) with K' = sqrt(M² - ρ'²)/ρ for the Gaussian profile ρ.
 
-    The integrand grows like M·e^{t²}, so evaluation is guarded to
-    |t| <= t_max; beyond that the tabulation would silently lose precision.
+    The integrand grows like M·e^{t²}, so ``value`` (and with it ``jet``)
+    is guarded to |t| <= t_max; beyond that the tabulation would silently
+    lose precision.  ``d1`` is the closed-form integrand and is not
+    guarded: the table's last cell may reach half a cell past t_max.
     """
 
     kind = "phase"
@@ -338,44 +315,17 @@ class PolarPhase(Profile):
         self.M = float(M)
         self.t_max = float(t_max)
         self.sup_search_interval = (-t_max, t_max)
-        self._table = _CumulativeTable(self._integrand, -t_max, t_max, cells)
+        self._table = _CumulativeTable(self.d1, -t_max, t_max, cells)
 
-    def _integrand(self, s: float) -> float:
-        r = self.rho.value(s)
-        p1 = self.rho.d1(s)
-        v = self.M * self.M - p1 * p1
-        if v <= 0.0:
-            raise JetDomainError(
-                f"speed bound {self.M!r} does not dominate the profile derivative at s={s!r}"
-            )
-        return math.sqrt(v) / r
+    def d1(self, t):
+        return self._root(self.rho.d1(t), t) / self.rho.value(t)
 
-    def _check_range(self, t: float):
+    def _integral(self, t: float) -> float:
         if abs(t) > self.t_max * (1.0 + 1e-12):
             raise PhaseRangeError(
                 f"phase evaluation at t={t!r} outside the guarded range |t| <= {self.t_max!r}"
             )
-
-    def value(self, t: float) -> float:
-        self._check_range(t)
         return self._table.value(t)
-
-    def d1(self, t: float) -> float:
-        self._check_range(t)
-        return self._integrand(t)
-
-    def d1_jet(self, t: float) -> Jet2:
-        self._check_range(t)
-        jrho = self.rho.jet(t)
-        jp = self.rho.d1_jet(t)
-        jq = jet_sqrt(self.M * self.M - jp * jp)
-        if jp.val == 0.0:
-            jq = Jet2(self.M, jq.d1, jq.d2)
-        return jq / jrho
-
-    def jet(self, t: float) -> Jet2:
-        jd = self.d1_jet(t)
-        return Jet2(self.value(t), jd.val, jd.d1)
 
 
 @dataclass(frozen=True)
@@ -420,7 +370,8 @@ def estimate_sup_abs_d1(
     """Dense-grid maximum of |profile'| refined by a golden-section polish."""
     a, b = interval if interval is not None else profile.sup_search_interval
     ts = np.linspace(a, b, samples)
-    vals = np.abs(np.asarray([profile.d1(t) for t in ts]))
+    # Python floats: scalar arithmetic on numpy floats is several times slower
+    vals = np.abs(np.fromiter(map(profile.d1, ts.tolist()), float, samples))
     i = int(np.argmax(vals))
     lo = float(ts[max(i - 1, 0)])
     hi = float(ts[min(i + 1, samples - 1)])
@@ -445,9 +396,3 @@ def choose_M(
     if sup <= 1e-12:
         raise ValueError("profile derivative vanishes; no meaningful speed bound exists")
     return SpeedBound(M=sup * (1.0 + safety), sup_estimate=sup, safety=safety)
-
-
-def unit_circle_jets(s: float) -> tuple[Jet2, Jet2]:
-    """Component jets of the unit-speed circle parameterization (cos s, sin s)."""
-    sj = jet_lift(s)
-    return jet_cos(sj), jet_sin(sj)

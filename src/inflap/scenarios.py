@@ -113,11 +113,23 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         errors.append("N: must be >= 2 for the vector-valued scenarios")
     if cfg.grid_points < 2:
         errors.append("grid_points: must be >= 2")
+    invalid = set()
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
         # NaN fails every comparison, so test for the valid range
         if not (math.isfinite(value) and value > 0.0):
+            invalid.add(name)
             errors.append(f"{name}: must be positive and finite, got {value!r}")
+    # M = (1 + safety) * sup must exceed the sup, and M³ must stay finite
+    if "safety" not in invalid and not (1.0 + cfg.safety > 1.0 and cfg.safety <= 1.0):
+        errors.append(f"safety: must satisfy 1 + safety > 1 and safety <= 1, got {cfg.safety!r}")
+    if cfg.scenario in ("ex2", "properties") and not invalid & {"t_max", "fd_step"}:
+        # the phase is tabulated on |t| <= t_max; both scenarios sample ex2's
+        # residual slab, and ex2's fd stencil reaches one step past it
+        _, lo, hi = _CONSTRUCTIONS["ex2"].residual_domain
+        reach = max(-lo, hi) + (cfg.fd_step if cfg.scenario == "ex2" else 0.0)
+        if cfg.t_max < reach:
+            errors.append(f"t_max: must be >= {reach!r} for {cfg.scenario}, got {cfg.t_max!r}")
     if cfg.seed < 0:
         errors.append("seed: must be >= 0")
     if cfg.cache_cells < 16:
@@ -424,7 +436,7 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         "pass": max_rel <= 1e-5,
     }
 
-    # polar identity on the polar-spiral construction
+    # polar identity on the polar-spiral construction, over ex2's residual slab
     rho = GaussianRho()
     sb = choose_M(rho, cfg.safety)
     phase = PolarPhase(sb.M, t_max=cfg.t_max, cells=cfg.cache_cells, rho=rho)
@@ -432,7 +444,8 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     max_polar_rel = 0.0
     max_direction_dot = 0.0
     polar_samples = 100
-    for t in rng.uniform(-1.5, 1.5, size=polar_samples):
+    _, lo, hi = _CONSTRUCTIONS["ex2"].residual_domain
+    for t in rng.uniform(lo, hi, size=polar_samples):
         m = u3.map_jet([t])
         pd = polar_decompose(m)
         lhs = grad_norm_sq(m)

@@ -15,7 +15,6 @@ from inflap.profiles import (
     SpeedBound,
     choose_M,
     estimate_sup_abs_d1,
-    unit_circle_jets,
 )
 
 INV_E = math.exp(-1.0)
@@ -26,14 +25,11 @@ class _ConstantProfile(Profile):
     kind = "const"
     sup_search_interval = (-1.0, 1.0)
 
-    def jet(self, t):
-        return Jet2(4.2)
-
-    def d1_jet(self, t):
-        return Jet2(0.0)
+    def value(self, t):
+        return Jet2(4.2) if isinstance(t, Jet2) else 4.2
 
     def d1(self, t):
-        return 0.0
+        return Jet2(0.0) if isinstance(t, Jet2) else 0.0
 
 
 @pytest.fixture(scope="module")
@@ -295,16 +291,3 @@ class TestJetsAgainstFiniteDifferences:
                 assert abs(jd.val - fd.val) <= 1e-12 * max(1.0, abs(fd.val))
                 assert abs(jd.d1 - fd.d1) <= 1e-3 * max(1.0, abs(fd.d1))
                 assert abs(jd.d2 - fd.d2) <= 1e-1 * max(1.0, abs(fd.d2))
-
-
-class TestUnitCircle:
-    def test_at_zero(self):
-        c, s = unit_circle_jets(0.0)
-        assert c.as_tuple() == (1.0, 0.0, -1.0)
-        assert s.as_tuple() == (0.0, 1.0, 0.0)
-
-    def test_on_circle_with_unit_speed(self):
-        for t in np.linspace(-7.0, 7.0, 101):
-            c, s = unit_circle_jets(float(t))
-            assert c.val**2 + s.val**2 == pytest.approx(1.0, abs=1e-15)
-            assert c.d1**2 + s.d1**2 == pytest.approx(1.0, abs=1e-15)

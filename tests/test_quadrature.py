@@ -63,7 +63,7 @@ def test_speed_integrand_matches_richardson_oracle():
     w1 = BumpW1()
     sb = choose_M(w1, samples=20_000)
     w2 = ArcComplement(w1, sb.M)
-    oracle = _richardson_trapezoid(w2._speed, 0.0, 2.0)
+    oracle = _richardson_trapezoid(w2.d1, 0.0, 2.0)
     assert w2.value(2.0) == pytest.approx(oracle, abs=1e-10)
 
 

@@ -9,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from inflap import cli
 from inflap.cli import main
+from inflap.jets import JetDomainError
+from inflap.profiles import BumpW1
 from inflap.reports import (
     CSV_HEADER,
     dumps_canonical,
@@ -234,13 +237,24 @@ class TestCli:
         assert main(["ex2", "--grid", "1"]) == 2
         assert "grid_points" in capsys.readouterr().err
 
-    def test_evaluation_error_exit_three(self, tmp_path, capsys):
-        # the polar phase is only tabulated on |t| <= t_max, but the
-        # residual grid reaches 1.5
-        cfgfile = tmp_path / "cfg"
-        cfgfile.write_text("t_max=1.0\ngrid_points=51\ncache_cells=64\n")
-        assert main(["ex2", "--config", str(cfgfile)]) == 3
+    def test_evaluation_error_exit_three(self, monkeypatch, capsys):
+        def undefined(self, t):
+            raise JetDomainError("profile undefined here")
+
+        # choose_M reads only d1, so the failure surfaces in the residual check
+        monkeypatch.setattr(BumpW1, "value", undefined)
+        assert main(["ex3", "--grid", "51"]) == 3
         assert "aborted" in capsys.readouterr().err
+
+    def test_unexpected_exception_exit_four(self, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        assert main(["ex2", "--grid", "51"]) == 4
+        err = capsys.readouterr().err
+        assert "error: internal error: RuntimeError: injected" in err
+        assert "Traceback" not in err
 
     def test_flags_override_config_file(self, tmp_path):
         cfgfile = tmp_path / "cfg"
@@ -263,7 +277,14 @@ class TestCli:
         (["ex3", "--tol-scale", "nan"], None, "residual_tol_scale"),
         (["properties", "--seed", "-1"], None, "seed"),
         (["ex1b"], "hull_tol=nan\n", "hull_tol"),
-    ], ids=["safety_nan", "safety_inf", "tol_scale_nan", "seed_negative", "config_hull_tol_nan"])
+        (["ex3", "--safety", "1e-17"], None, "safety"),
+        (["ex3", "--safety", "1e200"], None, "safety"),
+        (["ex2"], "t_max=0.5\n", "t_max"),
+        (["ex2"], "t_max=1.5\n", "t_max"),
+        (["properties"], "t_max=0.5\n", "t_max"),
+    ], ids=["safety_nan", "safety_inf", "tol_scale_nan", "seed_negative", "config_hull_tol_nan",
+            "safety_below_eps", "safety_overflow", "ex2_t_max_short", "ex2_t_max_no_fd_room",
+            "properties_t_max_short"])
     def test_non_finite_or_out_of_range_value_exit_two(self, tmp_path, argv, config, field):
         if config is not None:
             cfgfile = tmp_path / "cfg"
