@@ -2,8 +2,10 @@
 principle margins, convex-hull containment, and gradient-norm conservation.
 
 Domains are finite sample sets (interior strictly inside, boundary exactly
-on the boundary equation).  All reducers are sup/inf over fixed-order
-sample lists, so reports are deterministic for a given grid.
+on the boundary equation).  Every check samples its field in domain order
+through ``_sample`` and reduces with ``argmax``/``argmin`` (the first index
+wins a tie), so reports are deterministic for a given grid.  An evaluation
+error or a NaN or infinite sample aborts with the offending point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .hull import max_outside_distance
 from .jets import EvaluationError
 from .maps import VectorMap, finite_difference_map_jet
-from .operators import perturbed_scalar, tangential
+from .operators import grad_norm_sq, perturbed_scalar, tangential
 
 __all__ = [
     "DomainSpec",
@@ -48,24 +50,18 @@ class CheckEvaluationError(EvaluationError):
 class DomainSpec:
     """Sampled interior and boundary of a scenario domain."""
 
-    kind: str
     label: str
-    n: int
     interior: np.ndarray  # (m, n), strictly inside
     boundary: np.ndarray  # (k, n), exactly on the boundary
 
 
 def _with_witnesses(values: np.ndarray, witnesses, lo: float, hi: float) -> np.ndarray:
-    inside = [w for w in witnesses if lo < w < hi]
-    if inside:
-        values = np.concatenate([values, np.asarray(inside, dtype=float)])
-    return np.unique(values)
+    return np.unique(np.concatenate([values, [w for w in witnesses if lo < w < hi]]))
 
 
 def _cross_sections(n: int, extent: float) -> np.ndarray:
-    """Sample offsets for the translation-invariant axes 2..n."""
-    if n == 1:
-        return np.zeros((1, 0))
+    """Sample offsets for the translation-invariant axes 2..n; for n = 1
+    the one empty offset."""
     half = 0.5 * extent
     axes = [(-half, 0.0, half)] * (n - 1)
     return np.asarray(list(itertools.product(*axes)), dtype=float)
@@ -96,13 +92,12 @@ def slab_domain(
         ts = np.asarray(abscissas, dtype=float)
     interior_t = _with_witnesses(ts[(ts > a) & (ts < b)], witnesses, a, b)
     cross = _cross_sections(n, cross_extent)
-    interior = np.asarray(
-        [np.concatenate(([t], c)) for t in interior_t for c in cross]
-    ).reshape(-1, n)
-    boundary = np.asarray(
-        [np.concatenate(([t], c)) for t in (a, b) for c in cross]
-    ).reshape(-1, n)
-    return DomainSpec("slab", f"slab({a:g},{b:g})", n, interior, boundary)
+
+    def points(t):
+        """Each abscissa in t with each cross-section offset, abscissa-major."""
+        return np.column_stack([np.repeat(t, len(cross)), np.tile(cross, (len(t), 1))])
+
+    return DomainSpec(f"slab({a:g},{b:g})", points(interior_t), points(np.array([a, b])))
 
 
 def annulus_domain(
@@ -111,7 +106,6 @@ def annulus_domain(
     n: int = 1,
     grid_points: int = 2001,
     witnesses=(),
-    radii=None,
 ) -> DomainSpec:
     """Annulus {r_in < |x| < r_out} sampled along axis directions.
 
@@ -120,20 +114,14 @@ def annulus_domain(
     """
     if not 0.0 < r_in < r_out:
         raise ValueError("annulus needs 0 < r_in < r_out")
-    if radii is None:
-        if grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-        rs = np.linspace(r_in, r_out, grid_points)
-    else:
-        rs = np.asarray(radii, dtype=float)
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
+    rs = np.linspace(r_in, r_out, grid_points)
     interior_r = _with_witnesses(rs[(rs > r_in) & (rs < r_out)], witnesses, r_in, r_out)
-    if n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        dirs = np.concatenate([np.eye(n), -np.eye(n)])
+    dirs = np.concatenate([np.eye(n), -np.eye(n)])
     interior = (interior_r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     boundary = (np.array([r_in, r_out])[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    return DomainSpec("annulus", f"annulus({r_in:g},{r_out:g})", n, interior, boundary)
+    return DomainSpec(f"annulus({r_in:g},{r_out:g})", interior, boundary)
 
 
 def refine_abscissas(ts) -> np.ndarray:
@@ -208,11 +196,34 @@ class ConservationReport:
         return self.tol is None or self.max_dev <= self.tol
 
 
-def _all_points(domain: DomainSpec) -> np.ndarray:
-    parts = [p for p in (domain.interior, domain.boundary) if len(p)]
-    if not parts:
-        return np.zeros((0, domain.n))
-    return np.vstack(parts)
+def _sample(f, points: np.ndarray, width: int | None = None) -> np.ndarray:
+    """f at each point in order, as floats or rows of ``width`` floats.  The
+    one place where an EvaluationError, or a NaN or infinite sample, becomes
+    a CheckEvaluationError naming its point."""
+
+    def each():
+        for x in points:
+            try:
+                yield f(x)
+            except EvaluationError as exc:
+                raise CheckEvaluationError(x, str(exc)) from exc
+
+    dtype = float if width is None else np.dtype((float, width))
+    values = np.fromiter(each(), dtype, len(points))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0] // (width or 1)
+        raise CheckEvaluationError(points[i], f"sampled value {values[i]} is not finite")
+    return values
+
+
+def _at(values: np.ndarray, points: np.ndarray, pick, empty: float):
+    """The value ``pick`` (argmax or argmin) selects and its point; the
+    first index wins a tie.  No samples give ``empty`` and no point."""
+    if len(values) == 0:
+        return empty, None
+    i = pick(values)
+    return float(values[i]), points[i]
 
 
 def _jet_getter(map_obj: VectorMap, jet_source: str, fd_step: float):
@@ -240,48 +251,27 @@ def residual_certify(
     """
     if op not in ("tangential", "perturbed_scalar"):
         raise ValueError(f"unknown operator selector {op!r}")
-    points = _all_points(domain)
+    points = np.concatenate([domain.interior, domain.boundary])
     get_jet = _jet_getter(map_obj, jet_source, fd_step)
-    if op == "perturbed_scalar":
+    if op == "tangential":
+        residual = lambda x: np.linalg.norm(tangential(get_jet(x)))
+    else:
         if f_map is None:
             raise ValueError("perturbed_scalar residual needs f_map")
         get_f_jet = _jet_getter(f_map, jet_source, fd_step)
-    sup = 0.0
-    worst = None
-    for x in points:
-        try:
-            m = get_jet(x)
-            if op == "tangential":
-                r = float(np.linalg.norm(tangential(m)))
-            else:
-                r = abs(perturbed_scalar(m, get_f_jet(x)))
-        except EvaluationError as exc:
-            raise CheckEvaluationError(x, str(exc)) from exc
-        if r > sup or worst is None:
-            sup = r
-            worst = x
+        residual = lambda x: abs(perturbed_scalar(get_jet(x), get_f_jet(x)))
+    sup, worst = _at(_sample(residual, points), points, np.argmax, 0.0)
     return ResidualReport(sup, tol, sup <= tol, worst, len(points), jet_source, domain.label)
-
-
-def _field_extrema(field, points) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
-    vmax, vmin = -math.inf, math.inf
-    wmax = wmin = None
-    for x in points:
-        try:
-            v = float(field(x))
-        except EvaluationError as exc:
-            raise CheckEvaluationError(x, str(exc)) from exc
-        if v > vmax:
-            vmax, wmax = v, x
-        if v < vmin:
-            vmin, wmin = v, x
-    return vmax, vmin, wmax, wmin
 
 
 def max_principle_check(field, domain: DomainSpec) -> PrincipleVerdict:
     """Compare interior extrema of a scalar field against boundary extrema."""
-    sup_i, inf_i, w_sup, w_inf = _field_extrema(field, domain.interior)
-    max_b, min_b, _, _ = _field_extrema(field, domain.boundary)
+    inner = _sample(field, domain.interior)
+    outer = _sample(field, domain.boundary)
+    sup_i, w_sup = _at(inner, domain.interior, np.argmax, -math.inf)
+    inf_i, w_inf = _at(inner, domain.interior, np.argmin, math.inf)
+    max_b, _ = _at(outer, domain.boundary, np.argmax, -math.inf)
+    min_b, _ = _at(outer, domain.boundary, np.argmin, math.inf)
     return PrincipleVerdict(
         sup_interior=sup_i,
         max_boundary=max_b,
@@ -301,7 +291,7 @@ def directional_check(map_obj: VectorMap, xi, domain: DomainSpec) -> PrincipleVe
     if not np.linalg.norm(xi) > 0.0:
         raise ValueError("direction xi must be nonzero")
     k = len(xi)
-    return max_principle_check(lambda x: float(xi @ map_obj.value(x)[:k]), domain)
+    return max_principle_check(lambda x: xi @ map_obj.value(x)[:k], domain)
 
 
 def hull_check(map_obj: VectorMap, domain: DomainSpec, hull_tol: float = 1e-9) -> HullVerdict:
@@ -310,48 +300,25 @@ def hull_check(map_obj: VectorMap, domain: DomainSpec, hull_tol: float = 1e-9) -
     The constructions are planar (padded components vanish identically), so
     the check runs on the first two image coordinates.
     """
-    if len(domain.boundary) < 1:
+    k = len(domain.boundary)
+    if k < 1:
         raise ValueError("hull check needs at least one boundary sample")
-
-    def images(points):
-        out = []
-        for x in points:
-            try:
-                out.append(map_obj.value(x)[:2])
-            except EvaluationError as exc:
-                raise CheckEvaluationError(x, str(exc)) from exc
-        return np.asarray(out)
-
-    boundary_img = images(domain.boundary)
-    interior_img = images(domain.interior)
-    if len(domain.interior) == 0:
-        return HullVerdict(True, 0.0, None, None, hull_tol, domain.label)
-    dist, idx = max_outside_distance(interior_img, boundary_img)
+    points = np.concatenate([domain.boundary, domain.interior])
+    images = _sample(lambda x: map_obj.value(x)[:2], points, width=2)
+    dist, idx = max_outside_distance(images[k:], images[:k])
     witness = domain.interior[idx] if idx >= 0 else None
-    image = interior_img[idx] if idx >= 0 else None
+    image = images[k + idx] if idx >= 0 else None
     return HullVerdict(dist <= hull_tol, dist, witness, image, hull_tol, domain.label)
 
 
 def conservation_check(
     map_obj: VectorMap,
     domain: DomainSpec,
-    target_sq: float | None = None,
+    target_sq: float,
+    tol: float | None = None,
 ) -> ConservationReport:
     """Max deviation of |Du|² from its constant target over all samples."""
-    if target_sq is None:
-        bound = getattr(map_obj, "speed_bound", None)
-        if bound is None:
-            raise ValueError("map carries no speed bound; pass target_sq")
-        target_sq = bound * bound
-    worst_dev = -1.0
-    worst = None
-    for x in _all_points(domain):
-        try:
-            m = map_obj.map_jet(x)
-        except EvaluationError as exc:
-            raise CheckEvaluationError(x, str(exc)) from exc
-        dev = abs(float(np.einsum("ai,ai->", m.jacobian, m.jacobian)) - target_sq)
-        if dev > worst_dev:
-            worst_dev = dev
-            worst = x
-    return ConservationReport(max(worst_dev, 0.0), target_sq, worst, domain.label)
+    points = np.concatenate([domain.interior, domain.boundary])
+    devs = _sample(lambda x: abs(grad_norm_sq(map_obj.map_jet(x)) - target_sq), points)
+    max_dev, worst = _at(devs, points, np.argmax, 0.0)
+    return ConservationReport(max_dev, target_sq, worst, domain.label, tol)

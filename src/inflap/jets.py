@@ -54,9 +54,6 @@ class Jet2:
             return self.as_tuple() == other.as_tuple()
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.as_tuple())
-
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Jet of f∘g for g = self, given f, f', f'' evaluated at g.val."""
         return Jet2(f0, f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2)

@@ -68,8 +68,6 @@ class MapJet:
 class VectorMap:
     """A smooth map from R^n to R^N exposing exact second-order jets."""
 
-    family = "generic"
-
     def __init__(self, n: int, N: int):
         if n < 1:
             raise ValueError("source dimension n must be >= 1")
@@ -129,15 +127,12 @@ class CurveMap(_ProfileMap):
     with the first coordinate: |Du|² = M² everywhere.
     """
 
-    family = "curve"
-
     def __init__(self, first: Profile, second: ArcComplement, n: int = 1, N: int = 2):
         if N < 2:
             raise ValueError("curve maps need target dimension N >= 2")
         super().__init__(n, N)
         self.first = first
         self.second = second
-        self.speed_bound = second.M
 
     def _components(self, s):
         return self.first.value(s), self.second.value(s)
@@ -145,8 +140,6 @@ class CurveMap(_ProfileMap):
 
 class RadialCurveMap(CurveMap):
     """Radial composition x -> (p(|x|), q(|x|), 0, ...), undefined at 0."""
-
-    family = "radial_curve"
 
     def _radius(self, x) -> tuple[np.ndarray, float]:
         p = self._as_point(x)
@@ -180,15 +173,12 @@ class PolarSpiralMap(_ProfileMap):
     constant: |Du|² = M² wherever the phase is defined.
     """
 
-    family = "polar_spiral"
-
     def __init__(self, rho: GaussianRho, phase: PolarPhase, n: int = 1, N: int = 2):
         if N < 2:
             raise ValueError("polar maps need target dimension N >= 2")
         super().__init__(n, N)
         self.rho = rho
         self.phase = phase
-        self.speed_bound = phase.M
 
     def _components(self, s):
         r = self.rho.value(s)
@@ -200,8 +190,6 @@ class PolarSpiralMap(_ProfileMap):
 
 class ScalarProfileMap(_ProfileMap):
     """Scalar map x -> p(x1), lifted to n source dimensions."""
-
-    family = "scalar_profile"
 
     def __init__(self, profile: Profile, n: int = 1):
         super().__init__(n, 1)
@@ -218,8 +206,6 @@ class PerturbationPotentialMap(_ProfileMap):
     the closed form that avoids any quadrature; its gradient is the linear
     perturbation that cancels the scalar residual of the base profile map.
     """
-
-    family = "perturbation_potential"
 
     def __init__(self, base: Profile, M: float, n: int = 1):
         super().__init__(n, 1)
@@ -239,8 +225,6 @@ class TrigQuadMap(VectorMap):
     Closed-form jacobian and hessian make it a convenient target for the
     operator identities on maps whose |Du|² genuinely varies.
     """
-
-    family = "trig_quad"
 
     def __init__(self, constant, linear, quadratic, amplitudes, wavevectors, phases):
         linear = np.asarray(linear, dtype=float)

@@ -9,11 +9,9 @@ sqrt(M² - ρ'²)/ρ.
 Every profile writes two formulas, ``value(t)`` and ``d1(t)`` (its
 derivative).  Each takes a float or a :class:`Jet2` and returns the same
 kind: on a float it gives the number, on a jet it also carries the first
-two derivatives.  The base class derives from them
-
-* ``jet(t)``    -- Jet2 of the profile itself (value, d1, d2),
-* ``d1_jet(t)`` -- Jet2 of the profile's *derivative* (d1, d2, d3), used
-  where a third derivative of the profile is needed downstream.
+two derivatives.  ``value(jet_lift(t))`` is the jet of the profile
+(value, d1, d2) and ``d1(jet_lift(t))`` the jet of its derivative
+(d1, d2, d3).
 
 Integral-defined values are tabulated once by cumulative panel integration
 on a fixed grid anchored exactly at t = 0; point evaluation adds a short
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, JetDomainError, jet_exp, jet_lift, jet_sqrt
+from .jets import EvaluationError, Jet2, JetDomainError, jet_exp, jet_sqrt
 from .quadrature import gauss_kronrod_15
 
 __all__ = [
@@ -73,13 +71,6 @@ class Profile:
 
     def d1(self, t):
         raise NotImplementedError
-
-    def jet(self, t: float) -> Jet2:
-        return self.value(jet_lift(t))
-
-    def d1_jet(self, t: float) -> Jet2:
-        """Jet of the derivative: (p', p'', p''') at t."""
-        return self.d1(jet_lift(t))
 
 
 class _BranchBump(Profile):
@@ -298,9 +289,9 @@ class ArcComplement(_IntegralProfile):
 class PolarPhase(_IntegralProfile):
     """Phase K(t) with K' = sqrt(M² - ρ'²)/ρ for the Gaussian profile ρ.
 
-    The integrand grows like M·e^{t²}, so ``value`` (and with it ``jet``)
-    is guarded to |t| <= t_max; beyond that the tabulation would silently
-    lose precision.  ``d1`` is the closed-form integrand and is not
+    The integrand grows like M·e^{t²}, so ``value`` is guarded to
+    |t| <= t_max; beyond that the tabulation would silently lose
+    precision.  ``d1`` is the closed-form integrand and is not
     guarded: the table's last cell may reach half a cell past t_max.
     """
 

@@ -14,8 +14,9 @@ has its own runner.  Results are the typed records of ``checkers``;
 from __future__ import annotations
 
 import math
+import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -123,17 +124,23 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     # M = (1 + safety) * sup must exceed the sup, and M³ must stay finite
     if "safety" not in invalid and not (1.0 + cfg.safety > 1.0 and cfg.safety <= 1.0):
         errors.append(f"safety: must satisfy 1 + safety > 1 and safety <= 1, got {cfg.safety!r}")
-    if cfg.scenario in ("ex2", "properties") and not invalid & {"t_max", "fd_step"}:
+    if cfg.cache_cells < 16:
+        invalid.add("cache_cells")
+        errors.append("cache_cells: must be >= 16")
+    if cfg.scenario in ("ex2", "properties") and not invalid & {"t_max", "fd_step", "cache_cells"}:
         # the phase is tabulated on |t| <= t_max; both scenarios sample ex2's
-        # residual slab, and ex2's fd stencil reaches one step past it
+        # residual slab, and ex2's fd stencil reaches one step past it.  An
+        # odd cell count makes the table reach t_max (1 + 1/cells); out to
+        # there rho = exp(-t²) must stay a normal float.
         _, lo, hi = _CONSTRUCTIONS["ex2"].residual_domain
         reach = max(-lo, hi) + (cfg.fd_step if cfg.scenario == "ex2" else 0.0)
-        if cfg.t_max < reach:
-            errors.append(f"t_max: must be >= {reach!r} for {cfg.scenario}, got {cfg.t_max!r}")
+        top = math.sqrt(-math.log(sys.float_info.min)) / (1.0 + 1.0 / cfg.cache_cells)
+        if not reach <= cfg.t_max <= top:
+            errors.append(
+                f"t_max: must lie in [{reach!r}, {top!r}] for {cfg.scenario}, got {cfg.t_max!r}"
+            )
     if cfg.seed < 0:
         errors.append("seed: must be >= 0")
-    if cfg.cache_cells < 16:
-        errors.append("cache_cells: must be >= 16")
     if cfg.format not in ("json", "csv"):
         errors.append(f"format: must be 'json' or 'csv', got {cfg.format!r}")
     return errors
@@ -304,8 +311,8 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     )
     conservation = None
     if spec.conservation_scale is not None:
-        conservation = replace(
-            conservation_check(u, res_domain), tol=spec.conservation_scale * sb.M**2
+        conservation = conservation_check(
+            u, res_domain, sb.M**2, tol=spec.conservation_scale * sb.M**2
         )
     principle = {name: check(u, domain(key), cfg) for name, key, check in spec.principle}
     hull = None

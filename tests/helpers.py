@@ -30,4 +30,4 @@ def box_domain(intervals, grid_points: int = 11) -> DomainSpec:
     for i, (lo, hi) in enumerate(intervals):
         on_face |= (grid[:, i] == lo) | (grid[:, i] == hi)
     label = "box(" + ",".join(f"[{lo:g},{hi:g}]" for lo, hi in intervals) + ")"
-    return DomainSpec("box", label, n, grid[~on_face], grid[on_face])
+    return DomainSpec(label, grid[~on_face], grid[on_face])

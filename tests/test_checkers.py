@@ -18,10 +18,12 @@ from inflap.checkers import (
 from inflap.hull import convex_hull, distance_outside, max_outside_distance
 from inflap.maps import (
     CurveMap,
+    MapJet,
     PolarSpiralMap,
     RadialCurveMap,
     ScalarProfileMap,
     PerturbationPotentialMap,
+    VectorMap,
 )
 from inflap.profiles import (
     ArcComplement,
@@ -263,7 +265,7 @@ class TestHullChecks:
 
     def test_needs_boundary_samples(self, u1_setup):
         u1, _ = u1_setup
-        empty = DomainSpec("slab", "slab", 1, np.zeros((3, 1)), np.zeros((0, 1)))
+        empty = DomainSpec("slab", np.zeros((3, 1)), np.zeros((0, 1)))
         with pytest.raises(ValueError):
             hull_check(u1, empty)
 
@@ -302,18 +304,18 @@ class TestConservation:
     def test_curve_map(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = conservation_check(u1, d)
+        rep = conservation_check(u1, d, sb.M**2)
         assert rep.max_dev <= 1e-10 * sb.M**2
 
     def test_radial_map(self, u2_setup):
         u2, sb = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        assert conservation_check(u2, d).max_dev <= 1e-10 * sb.M**2
+        assert conservation_check(u2, d, sb.M**2).max_dev <= 1e-10 * sb.M**2
 
     def test_polar_map(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert conservation_check(u3, d).max_dev <= 1e-9 * sb.M**2
+        assert conservation_check(u3, d, sb.M**2).max_dev <= 1e-9 * sb.M**2
 
     def test_explicit_target(self):
         mp = affine_map(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2))
@@ -321,11 +323,34 @@ class TestConservation:
         rep = conservation_check(mp, d, target_sq=25.0)
         assert rep.max_dev == 0.0
 
-    def test_missing_target_rejected(self):
-        mp = affine_map(np.eye(2), np.zeros(2))
-        d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=5)
-        with pytest.raises(ValueError):
-            conservation_check(mp, d)
+
+class _NanAtOnePoint(VectorMap):
+    """x -> (x1, x1²), evaluated at NaN in place of x1 = bad."""
+
+    def __init__(self, bad: float):
+        super().__init__(1, 2)
+        self.bad = bad
+
+    def map_jet(self, x) -> MapJet:
+        t = self._as_point(x)[0]
+        if t == self.bad:
+            t = math.nan
+        return MapJet([t, t * t], [[1.0], [2.0 * t]], [[[0.0]], [[2.0]]])
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("check", [
+        lambda u, d: residual_certify(u, "tangential", d, 1.0),
+        lambda u, d: residual_certify(u, "tangential", d, 1.0, jet_source="fd"),
+        lambda u, d: max_principle_check(lambda x: u.value(x)[0], d),
+        lambda u, d: conservation_check(u, d, 1.0),
+        lambda u, d: hull_check(u, d),
+    ], ids=["residual_analytic", "residual_fd", "principle", "conservation", "hull"])
+    def test_nan_sample_aborts_with_its_point(self, check):
+        d = slab_domain(-1.0, 1.0, grid_points=5)  # interior -0.5, 0, 0.5
+        with pytest.raises(CheckEvaluationError, match="not finite") as exc:
+            check(_NanAtOnePoint(0.5), d)
+        np.testing.assert_array_equal(exc.value.point, [0.5])
 
 
 class TestMonotoneRefinement:

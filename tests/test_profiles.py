@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inflap.jets import Jet2, JetDomainError, fd_jet
+from inflap.jets import Jet2, JetDomainError, fd_jet, jet_lift
 from inflap.profiles import (
     ArcComplement,
     BumpW1,
@@ -60,26 +60,26 @@ def w2(w1, w1_bound):
 class TestBumps:
     def test_w1_outside_support_is_exact_zero(self, w1):
         for t in (3.0, 2.0, -2.0, -100.0, 0.0):
-            assert w1.jet(t).as_tuple() == (0.0, 0.0, 0.0)
-            assert w1.d1_jet(t).as_tuple() == (0.0, 0.0, 0.0)
+            assert w1.value(jet_lift(t)).as_tuple() == (0.0, 0.0, 0.0)
+            assert w1.d1(jet_lift(t)).as_tuple() == (0.0, 0.0, 0.0)
 
     def test_w1_branch_minimum(self, w1):
-        j = w1.jet(1.0)
+        j = w1.value(jet_lift(1.0))
         assert j.val == -INV_E
         assert j.d1 == 0.0
 
     def test_w1_symmetric_branch(self, w1):
-        assert w1.jet(-1.0).val == INV_E
+        assert w1.value(jet_lift(-1.0)).val == INV_E
 
     def test_w1_odd_symmetry(self, w1):
         for t in np.linspace(-2.5, 2.5, 401):
             assert w1.value(-float(t)) == -w1.value(float(t))
 
     def test_z1_support_and_peak(self, z1):
-        assert z1.jet(0.5).as_tuple() == (0.0, 0.0, 0.0)
-        assert z1.jet(1.0).as_tuple() == (0.0, 0.0, 0.0)
-        assert z1.jet(3.0).as_tuple() == (0.0, 0.0, 0.0)
-        j = z1.jet(2.0)
+        assert z1.value(jet_lift(0.5)).as_tuple() == (0.0, 0.0, 0.0)
+        assert z1.value(jet_lift(1.0)).as_tuple() == (0.0, 0.0, 0.0)
+        assert z1.value(jet_lift(3.0)).as_tuple() == (0.0, 0.0, 0.0)
+        j = z1.value(jet_lift(2.0))
         assert j.val == INV_E
         assert j.d1 == 0.0
 
@@ -98,28 +98,28 @@ class TestBumps:
     def test_seam_smoothness(self, w1):
         eps = 1e-2
         for t in (2.0 - eps, -2.0 + eps, eps, -eps):
-            j = w1.jet(t)
+            j = w1.value(jet_lift(t))
             assert abs(j.val) <= 1e-10
             assert abs(j.d1) <= 1e-10
             assert abs(j.d2) <= 1e-10
 
     def test_no_overflow_arbitrarily_close_to_seams(self, w1):
         for t in (1e-300, 2.0 - 1e-16, 1e-12, -2.0 + 1e-13):
-            j = w1.jet(t)
-            d = w1.d1_jet(t)
+            j = w1.value(jet_lift(t))
+            d = w1.d1(jet_lift(t))
             assert all(math.isfinite(v) for v in j.as_tuple() + d.as_tuple())
 
 
 class TestGaussian:
     def test_peak_jet(self, rho):
-        assert rho.jet(0.0).as_tuple() == (1.0, 0.0, -2.0)
+        assert rho.value(jet_lift(0.0)).as_tuple() == (1.0, 0.0, -2.0)
 
     def test_boundary_value(self, rho):
-        assert rho.jet(1.0).val == pytest.approx(INV_E, abs=1e-16)
+        assert rho.value(jet_lift(1.0)).val == pytest.approx(INV_E, abs=1e-16)
 
     def test_steepest_slope(self, rho):
         t = 1.0 / math.sqrt(2.0)
-        assert abs(rho.jet(t).d1) == pytest.approx(SQRT_2_OVER_E, abs=1e-12)
+        assert abs(rho.value(jet_lift(t)).d1) == pytest.approx(SQRT_2_OVER_E, abs=1e-12)
 
 
 class TestSupEstimate:
@@ -165,13 +165,13 @@ class TestChooseM:
 
 class TestArcComplement:
     def test_anchored_at_zero(self, w2, w1_bound):
-        j = w2.jet(0.0)
+        j = w2.value(jet_lift(0.0))
         assert j.val == 0.0
         assert j.d1 == w1_bound.M
 
     def test_slope_is_exactly_m_outside_support(self, w2, w1_bound):
         assert w2.d1(5.0) == w1_bound.M
-        assert w2.jet(5.0).d1 == w1_bound.M
+        assert w2.value(jet_lift(5.0)).d1 == w1_bound.M
 
     def test_linear_extension_is_exact(self, w2, w1_bound):
         assert w2.value(5.0) == w2.value(2.0) + w1_bound.M * 3.0
@@ -215,7 +215,7 @@ def phase(rho):
 class TestPolarPhase:
     def test_anchor_and_slope(self, phase):
         assert phase.value(0.0) == 0.0
-        assert phase.d1_jet(0.0).val == phase.M
+        assert phase.d1(jet_lift(0.0)).val == phase.M
 
     def test_constant_speed_identity(self, phase, rho):
         m_sq = phase.M * phase.M
@@ -231,7 +231,7 @@ class TestPolarPhase:
         with pytest.raises(PhaseRangeError):
             phase.value(2.5)
         with pytest.raises(PhaseRangeError):
-            phase.jet(-2.0001)
+            phase.value(jet_lift(-2.0001))
 
     def test_monotone_increasing(self, phase):
         ts = np.linspace(-1.9, 1.9, 200)
@@ -243,7 +243,7 @@ class TestJetsAgainstFiniteDifferences:
     def _check(self, profile, ts, d1_tol=1e-5, d2_tol=1e-3):
         for t in ts:
             t = float(t)
-            jet = profile.jet(t)
+            jet = profile.value(jet_lift(t))
             fd = fd_jet(profile.value, t, h=1e-4)
             scale1 = max(1.0, abs(fd.d1))
             scale2 = max(1.0, abs(fd.d2))
@@ -286,7 +286,7 @@ class TestJetsAgainstFiniteDifferences:
         for profile, lo, hi in ((w1, -2.5, 2.5), (z1, 0.5, 3.5), (rho, -2.0, 2.0)):
             for t in rng.uniform(lo, hi, size=100):
                 t = float(t)
-                jd = profile.d1_jet(t)
+                jd = profile.d1(jet_lift(t))
                 fd = fd_jet(profile.d1, t, h=1e-4)
                 assert abs(jd.val - fd.val) <= 1e-12 * max(1.0, abs(fd.val))
                 assert abs(jd.d1 - fd.d1) <= 1e-3 * max(1.0, abs(fd.d1))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from inflap import cli
 from inflap.cli import main
@@ -223,6 +227,20 @@ class TestCli:
         code = main(["ex2", "--config", str(cfgfile), "--out", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_degenerate_domains_report_empty_extrema(self, tmp_path):
+        # grid 2 without witnesses leaves every principle and hull interior empty
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("inject_witnesses=false\n")
+        out = tmp_path / "r.json"
+        assert main(["ex1a", "ex1b", "--grid", "2", "--config", str(cfgfile), "--out", str(out)]) == 1
+        for rep in json.loads(out.read_text())["reports"]:
+            for v in rep["principle"].values():
+                assert (v["sup_interior"], v["inf_interior"]) == ("-inf", "inf")
+                assert v["witness_sup"] is None and v["witness_inf"] is None
+            assert rep["hull"]["contained"] is True
+            assert rep["hull"]["max_outside_distance"] == 0
+            assert rep["hull"]["witness_point"] is None
+
     def test_unknown_scenario_exit_two(self, capsys):
         assert main(["nonsense"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
@@ -282,9 +300,14 @@ class TestCli:
         (["ex2"], "t_max=0.5\n", "t_max"),
         (["ex2"], "t_max=1.5\n", "t_max"),
         (["properties"], "t_max=0.5\n", "t_max"),
+        (["ex2"], "t_max=30\n", "t_max"),
+        (["properties"], "t_max=1000\n", "t_max"),
+        (["ex2"], "t_max=26.6\ncache_cells=17\n", "t_max"),
+        (["ex2"], "t_max=26.7\n", "t_max"),
     ], ids=["safety_nan", "safety_inf", "tol_scale_nan", "seed_negative", "config_hull_tol_nan",
             "safety_below_eps", "safety_overflow", "ex2_t_max_short", "ex2_t_max_no_fd_room",
-            "properties_t_max_short"])
+            "properties_t_max_short", "ex2_t_max_underflow", "properties_t_max_underflow",
+            "ex2_t_max_odd_cells", "ex2_t_max_inf_in_table"])
     def test_non_finite_or_out_of_range_value_exit_two(self, tmp_path, argv, config, field):
         if config is not None:
             cfgfile = tmp_path / "cfg"
@@ -309,6 +332,40 @@ class TestCli:
         assert main(["ex2", "--grid", "201", "--no-timings"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reports"][0]["scenario"] == "ex2"
+
+
+_FUZZ_FLOATS = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-17, 1e-4, 0.05, 1.0, 2.0,
+                27.0, 1e3, 1e200, 1e308)
+_FLOAT_FIELDS = ("safety", "residual_tol_scale", "fd_tol_scale", "hull_tol", "t_max", "fd_step",
+                 "cross_extent")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at the extreme draws
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(scenario="ex2", floats={"t_max": 1e3, "safety": 0.05}, grid_points=11, n=1,
+         cache_cells=16, inject_witnesses=True)
+@given(
+    scenario=st.sampled_from(SCENARIO_NAMES),
+    floats=st.dictionaries(st.sampled_from(_FLOAT_FIELDS), st.sampled_from(_FUZZ_FLOATS),
+                           min_size=2, max_size=2),
+    grid_points=st.sampled_from((2, 3, 11, 51)),
+    n=st.sampled_from((1, 2)),
+    cache_cells=st.sampled_from((16, 17, 64)),
+    inject_witnesses=st.booleans(),
+)
+def test_cli_fuzz_has_a_defined_exit_code(scenario, floats, grid_points, n, cache_cells,
+                                          inject_witnesses):
+    """Any config: a pass, a failed check, a config error or an evaluation
+    error (0-3); never an internal error (4) or an escaping exception."""
+    config = {**floats, "grid_points": grid_points, "n": n, "cache_cells": cache_cells,
+              "inject_witnesses": inject_witnesses}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = os.path.join(tmp, "cfg")
+        with open(cfgfile, "w") as fh:
+            fh.writelines(f"{key}={value!r}\n" for key, value in config.items())
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([scenario, "--config", cfgfile, "--out", os.path.join(tmp, "r.json")])
+    assert code in (0, 1, 2, 3)
 
 
 class TestProfileTables:
