@@ -2,10 +2,11 @@
 principle margins, convex-hull containment, and gradient-norm conservation.
 
 Domains are finite sample sets (interior strictly inside, boundary exactly
-on the boundary equation).  Every check samples its field in domain order
-through ``_sample`` and reduces with ``argmax``/``argmin`` (the first index
-wins a tie), so reports are deterministic for a given grid.  An evaluation
-error or a NaN or infinite sample aborts with the offending point.
+on the boundary equation).  Every check samples its field on the whole
+(m, n) array of domain points at once through ``_sample`` and reduces with
+``argmax``/``argmin`` (the first index wins a tie), so reports are
+deterministic for a given grid.  An evaluation error or a NaN or infinite
+sample aborts with the first offending point in domain order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .hull import max_outside_distance
 from .jets import EvaluationError
 from .maps import VectorMap, finite_difference_map_jet
-from .operators import grad_norm_sq, perturbed_scalar, tangential
+from .operators import grad_norm_sq, perturbed_scalar, row_norm, tangential
 
 __all__ = [
     "DomainSpec",
@@ -197,19 +198,23 @@ class ConservationReport:
 
 
 def _sample(f, points: np.ndarray, width: int | None = None) -> np.ndarray:
-    """f at each point in order, as floats or rows of ``width`` floats.  The
+    """f on all points at once, as floats or rows of ``width`` floats.  The
     one place where an EvaluationError, or a NaN or infinite sample, becomes
-    a CheckEvaluationError naming its point."""
-
-    def each():
-        for x in points:
+    a CheckEvaluationError naming the first such point in domain order.
+    Evaluation is pointwise, so the shortest failing prefix of the points
+    ends at that point and fails with the error the point raises alone."""
+    try:
+        values = np.asarray(f(points), dtype=float)
+    except EvaluationError as exc:
+        lo, hi = 0, len(points)  # f fails on points[:hi] with exc, not on points[:lo]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                yield f(x)
-            except EvaluationError as exc:
-                raise CheckEvaluationError(x, str(exc)) from exc
-
-    dtype = float if width is None else np.dtype((float, width))
-    values = np.fromiter(each(), dtype, len(points))
+                f(points[:mid])
+                lo = mid
+            except EvaluationError as prefix_exc:
+                hi, exc = mid, prefix_exc
+        raise CheckEvaluationError(points[hi - 1], str(exc)) from exc
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0] // (width or 1)
@@ -254,12 +259,12 @@ def residual_certify(
     points = np.concatenate([domain.interior, domain.boundary])
     get_jet = _jet_getter(map_obj, jet_source, fd_step)
     if op == "tangential":
-        residual = lambda x: np.linalg.norm(tangential(get_jet(x)))
+        residual = lambda x: row_norm(tangential(get_jet(x)))
     else:
         if f_map is None:
             raise ValueError("perturbed_scalar residual needs f_map")
         get_f_jet = _jet_getter(f_map, jet_source, fd_step)
-        residual = lambda x: abs(perturbed_scalar(get_jet(x), get_f_jet(x)))
+        residual = lambda x: np.abs(perturbed_scalar(get_jet(x), get_f_jet(x)))
     sup, worst = _at(_sample(residual, points), points, np.argmax, 0.0)
     return ResidualReport(sup, tol, sup <= tol, worst, len(points), jet_source, domain.label)
 
@@ -291,7 +296,7 @@ def directional_check(map_obj: VectorMap, xi, domain: DomainSpec) -> PrincipleVe
     if not np.linalg.norm(xi) > 0.0:
         raise ValueError("direction xi must be nonzero")
     k = len(xi)
-    return max_principle_check(lambda x: xi @ map_obj.value(x)[:k], domain)
+    return max_principle_check(lambda x: np.vecdot(map_obj.value(x)[..., :k], xi), domain)
 
 
 def hull_check(map_obj: VectorMap, domain: DomainSpec, hull_tol: float = 1e-9) -> HullVerdict:
@@ -304,7 +309,7 @@ def hull_check(map_obj: VectorMap, domain: DomainSpec, hull_tol: float = 1e-9) -
     if k < 1:
         raise ValueError("hull check needs at least one boundary sample")
     points = np.concatenate([domain.boundary, domain.interior])
-    images = _sample(lambda x: map_obj.value(x)[:2], points, width=2)
+    images = _sample(lambda x: map_obj.value(x)[..., :2], points, width=2)
     dist, idx = max_outside_distance(images[k:], images[:k])
     witness = domain.interior[idx] if idx >= 0 else None
     image = images[k + idx] if idx >= 0 else None
@@ -319,6 +324,6 @@ def conservation_check(
 ) -> ConservationReport:
     """Max deviation of |Du|² from its constant target over all samples."""
     points = np.concatenate([domain.interior, domain.boundary])
-    devs = _sample(lambda x: abs(grad_norm_sq(map_obj.map_jet(x)) - target_sq), points)
+    devs = _sample(lambda x: np.abs(grad_norm_sq(map_obj.map_jet(x)) - target_sq), points)
     max_dev, worst = _at(devs, points, np.argmax, 0.0)
     return ConservationReport(max_dev, target_sq, worst, domain.label, tol)

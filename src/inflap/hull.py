@@ -1,14 +1,20 @@
-"""Planar convex hulls (monotone chain) and distance-outside queries."""
+"""Planar convex hulls (monotone chain) and distance-outside queries.
+
+The queries test a batch of points (..., 2) against every hull edge at once.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .operators import row_norm
+
 __all__ = ["convex_hull", "point_segment_distance", "distance_outside", "max_outside_distance"]
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _cross(o, a, b):
+    ox, oy = o[..., 0], o[..., 1]
+    return (a[..., 0] - ox) * (b[..., 1] - oy) - (a[..., 1] - oy) * (b[..., 0] - ox)
 
 
 def convex_hull(points) -> np.ndarray:
@@ -33,48 +39,36 @@ def convex_hull(points) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1])
 
 
-def point_segment_distance(p, a, b) -> float:
+def point_segment_distance(p, a, b):
+    """Distance from each point p to the segment [a, b]; broadcasts."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    denom = float(d @ d)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    tau = float((p - a) @ d) / denom
-    tau = min(max(tau, 0.0), 1.0)
-    return float(np.linalg.norm(p - (a + tau * d)))
+    d = np.asarray(b, dtype=float) - a
+    denom = np.vecdot(d, d)
+    # a degenerate segment (d = 0) gets tau = 0: the distance to its point a
+    tau = np.clip(np.vecdot(p - a, d) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    return row_norm(p - (a + tau[..., None] * d))
 
 
-def distance_outside(p, hull: np.ndarray) -> float:
-    """Euclidean distance from p to the hull, 0 if inside or on it."""
+def distance_outside(p, hull: np.ndarray):
+    """Euclidean distance from each point p to the hull, 0 inside or on it."""
     p = np.asarray(p, dtype=float)
     k = len(hull)
     if k == 0:
         raise ValueError("empty hull")
-    if k == 1:
-        return float(np.linalg.norm(p - hull[0]))
-    if k == 2:
-        return point_segment_distance(p, hull[0], hull[1])
-    inside = True
-    for i in range(k):
-        if _cross(hull[i], hull[(i + 1) % k], p) < 0.0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(point_segment_distance(p, hull[i], hull[(i + 1) % k]) for i in range(k))
+    if k <= 2:
+        return point_segment_distance(p, hull[0], hull[-1])
+    q, b = p[..., None, :], np.roll(hull, -1, axis=0)
+    outside = np.any(_cross(hull, b, q) < 0.0, axis=-1)
+    return np.where(outside, point_segment_distance(q, hull, b).min(axis=-1), 0.0)
 
 
 def max_outside_distance(interior_points, boundary_points) -> tuple[float, int]:
     """Worst distance of interior image points outside the hull of the
-    boundary image.  Returns (distance, witness index)."""
+    boundary image.  Returns (distance, witness index); the first index
+    wins a tie, and (0.0, -1) means every point is inside."""
     hull = convex_hull(boundary_points)
-    worst = 0.0
-    witness = -1
-    for idx, p in enumerate(np.asarray(interior_points, dtype=float).reshape(-1, 2)):
-        d = distance_outside(p, hull)
-        if d > worst:
-            worst = d
-            witness = idx
-    return worst, witness
+    d = distance_outside(np.asarray(interior_points, dtype=float).reshape(-1, 2), hull)
+    d = np.where(d > 0.0, d, 0.0)  # a NaN distance, like an inside one, is no witness
+    i = int(np.argmax(d)) if d.size else 0
+    return (float(d[i]), i) if d.size and d[i] > 0.0 else (0.0, -1)

@@ -4,18 +4,23 @@ A :class:`Jet2` carries the value and first two derivatives of a scalar
 function of one curve parameter.  Arithmetic on jets propagates derivatives
 by the Leibniz and second-order chain rules, so any expression built from
 ``jet_lift(t)`` yields derivatives of the composite that are exact to
-roundoff.  ``fd_jet`` is the independent central-difference oracle used to
-cross-check jet arithmetic.
+roundoff.  A jet of an array of parameters evaluates the whole batch in
+Taylor mode, elementwise, with the bits each float gets.  ``fd_jet`` is the
+independent central-difference oracle used to cross-check jet arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "Jet2",
     "EvaluationError",
     "JetDomainError",
+    "exp",
+    "first_where",
     "jet_lift",
     "jet_exp",
     "jet_sin",
@@ -33,15 +38,31 @@ class JetDomainError(EvaluationError):
     """A jet function was evaluated where it is not smoothly defined."""
 
 
+def exp(x) -> np.ndarray:
+    """e**x elementwise through ``math.exp``: numpy's vectorized exp differs
+    from libm in the last bit for a few percent of arguments."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.exp, memoryview(x.ravel())), float, x.size).reshape(x.shape)
+
+
+def first_where(mask, values) -> float:
+    """The first entry of ``values`` where ``mask`` holds, as a float."""
+    return float(np.broadcast_to(values, np.shape(mask))[mask][0])
+
+
 class Jet2:
-    """Value and first two derivatives with respect to one parameter."""
+    """Value and first two derivatives with respect to one parameter; each
+    component is a float or an ndarray, and they broadcast together."""
 
     __slots__ = ("val", "d1", "d2")
+    # ndarray operands defer to the reflected Jet2 operators instead of
+    # building object arrays of jets
+    __array_ufunc__ = None
 
-    def __init__(self, val: float, d1: float = 0.0, d2: float = 0.0):
-        self.val = float(val)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
+    def __init__(self, val, d1=0.0, d2=0.0):
+        self.val = val
+        self.d1 = d1
+        self.d2 = d2
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.val, self.d1, self.d2)
@@ -51,7 +72,7 @@ class Jet2:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Jet2):
-            return self.as_tuple() == other.as_tuple()
+            return all(np.array_equal(a, b) for a, b in zip(self.as_tuple(), other.as_tuple()))
         return NotImplemented
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
@@ -88,7 +109,7 @@ class Jet2:
     __rmul__ = __mul__
 
     def _reciprocal(self):
-        if self.val == 0.0:
+        if np.any(self.val == 0.0):
             raise JetDomainError("reciprocal of a zero-valued jet")
         r = 1.0 / self.val
         return self.chain(r, -r * r, 2.0 * r * r * r)
@@ -102,23 +123,23 @@ class Jet2:
         return self._reciprocal() * other
 
 
-def jet_lift(t: float) -> Jet2:
+def jet_lift(t) -> Jet2:
     """The identity jet at t: the curve parameter itself."""
     return Jet2(t, 1.0, 0.0)
 
 
 def jet_exp(j: Jet2) -> Jet2:
-    e = math.exp(j.val)
+    e = exp(j.val)
     return j.chain(e, e, e)
 
 
 def jet_sin(j: Jet2) -> Jet2:
-    s, c = math.sin(j.val), math.cos(j.val)
+    s, c = np.sin(j.val), np.cos(j.val)
     return j.chain(s, c, -s)
 
 
 def jet_cos(j: Jet2) -> Jet2:
-    s, c = math.sin(j.val), math.cos(j.val)
+    s, c = np.sin(j.val), np.cos(j.val)
     return j.chain(c, -s, -c)
 
 
@@ -126,9 +147,10 @@ def jet_sqrt(j: Jet2) -> Jet2:
     # Strictly positive argument required: at 0 the derivatives blow up,
     # and in the profile formulas a non-positive argument means the speed
     # bound failed to dominate the base derivative.
-    if j.val <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive jet value {j.val!r}")
-    s = math.sqrt(j.val)
+    bad = np.asarray(j.val) <= 0.0
+    if np.any(bad):
+        raise JetDomainError(f"sqrt of non-positive jet value {first_where(bad, j.val)!r}")
+    s = np.sqrt(j.val)
     return j.chain(s, 0.5 / s, -0.25 / (s * j.val))
 
 

@@ -1,22 +1,26 @@
-"""Solution maps built from the scalar profiles, with exact pointwise jets.
+"""Solution maps built from the scalar profiles, with exact jets.
 
-Every profile map factors through one scalar variable (the first coordinate
-or the radius) and states its components once, as a formula in that
-variable.  The formula takes a float or a Jet2, as the profiles do: on a
-float it gives the map's value, on the identity jet the univariate jets
-from which the multivariate jacobians and hessians are assembled by the
-chain rule.  Planar constructions embed into higher target dimension by
-zero padding, which preserves every identity.
+``value`` and ``map_jet`` take a batch of points (..., n) and return values
+(..., N) and a :class:`MapJet` with the same leading axes; one point (n,)
+is the batch with none.  Every profile map factors through one scalar
+variable (the first coordinate or the radius) and states its components
+once, as a formula in that variable.  The formula takes an array or a
+Jet2, as the profiles do: on an array it gives the map's values, on the
+identity jet the univariate jets from which the multivariate jacobians and
+hessians are assembled by the chain rule.  Planar constructions embed into
+higher target dimension by zero padding, which preserves every identity.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import EvaluationError, Jet2, jet_cos, jet_lift, jet_sin
+from .operators import row_norm
 from .profiles import ArcComplement, GaussianRho, PolarPhase, Profile
 
 __all__ = [
@@ -41,10 +45,10 @@ class MapDomainError(EvaluationError):
 
 @dataclass
 class MapJet:
-    """Value, jacobian and hessian of a map at one point.
+    """Value, jacobian and hessian of a map at a batch of points.
 
-    value: (N,), jacobian: (N, n) with entry (a, i) = D_i u_a,
-    hessian: (N, n, n) with entry (a, i, j) = D²_ij u_a, symmetric in (i, j).
+    value: (..., N), jacobian: (..., N, n) with entry (a, i) = D_i u_a,
+    hessian: (..., N, n, n) with entry (a, i, j) = D²_ij u_a, symmetric in (i, j).
     """
 
     value: np.ndarray
@@ -58,11 +62,11 @@ class MapJet:
 
     @property
     def N(self) -> int:
-        return self.value.shape[0]
+        return self.value.shape[-1]
 
     @property
     def n(self) -> int:
-        return self.jacobian.shape[1]
+        return self.jacobian.shape[-1]
 
 
 class VectorMap:
@@ -78,8 +82,8 @@ class VectorMap:
 
     def _as_point(self, x) -> np.ndarray:
         p = np.atleast_1d(np.asarray(x, dtype=float))
-        if p.shape != (self.n,):
-            raise ValueError(f"expected a point of dimension {self.n}, got shape {p.shape}")
+        if p.shape[-1] != self.n:
+            raise ValueError(f"expected points of dimension {self.n}, got shape {p.shape}")
         return p
 
     def map_jet(self, x) -> MapJet:
@@ -92,31 +96,38 @@ class VectorMap:
 class _ProfileMap(VectorMap):
     """A map whose components are profile formulas in one scalar variable.
 
-    ``_components(s)`` states them once: on a float it returns their
-    values, on the identity jet of s their jets in s.  The variable is the
-    first coordinate; target components past the formulas are zero padding.
+    ``_components(s)`` states them once: on an array it returns their
+    values, on the identity jet of s their jets in s.  ``_variable(x)``
+    gives s with its gradient and hessian in x, from which ``map_jet``
+    assembles jacobians and hessians by the chain rule; here s is the
+    first coordinate.  Target components past the formulas are zero padding.
     """
 
     def _components(self, s):
         raise NotImplementedError
 
-    def _variable(self, x) -> float:
-        return float(self._as_point(x)[0])
+    def _variable(self, x):
+        return self._as_point(x)[..., 0], np.eye(self.n)[0], np.zeros((self.n, self.n))
 
     def value(self, x) -> np.ndarray:
-        out = np.zeros(self.N)
-        for a, v in enumerate(self._components(self._variable(x))):
-            out[a] = v
+        s = self._variable(x)[0]
+        out = np.zeros(s.shape + (self.N,))
+        for a, v in enumerate(self._components(s)):
+            out[..., a] = v
         return out
 
     def map_jet(self, x) -> MapJet:
-        value = np.zeros(self.N)
-        jac = np.zeros((self.N, self.n))
-        hess = np.zeros((self.N, self.n, self.n))
-        for a, j in enumerate(self._components(jet_lift(self._variable(x)))):
-            value[a] = j.val
-            jac[a, 0] = j.d1
-            hess[a, 0, 0] = j.d2
+        s, ds, dds = self._variable(x)
+        jets = self._components(jet_lift(s))  # before the outputs: a lower peak
+        value = np.zeros(s.shape + (self.N,))
+        jac = np.zeros(s.shape + (self.N, self.n))
+        hess = np.zeros(s.shape + (self.N, self.n, self.n))
+        outer = ds[..., :, None] * ds[..., None, :]
+        for a, j in enumerate(jets):
+            d1 = np.asarray(j.d1)[..., None]
+            value[..., a] = j.val
+            jac[..., a, :] = d1 * ds
+            hess[..., a, :, :] = np.asarray(j.d2)[..., None, None] * outer + d1[..., None] * dds
         return MapJet(value, jac, hess)
 
 
@@ -141,29 +152,14 @@ class CurveMap(_ProfileMap):
 class RadialCurveMap(CurveMap):
     """Radial composition x -> (p(|x|), q(|x|), 0, ...), undefined at 0."""
 
-    def _radius(self, x) -> tuple[np.ndarray, float]:
+    def _variable(self, x):
         p = self._as_point(x)
-        r = float(np.linalg.norm(p))
-        if r == 0.0:
+        r = row_norm(p)
+        if np.any(r == 0.0):
             raise MapDomainError("radial map is undefined at the origin")
-        return p, r
-
-    def _variable(self, x) -> float:
-        return self._radius(x)[1]
-
-    def map_jet(self, x) -> MapJet:
-        p, r = self._radius(x)
-        unit = p / r
-        outer = np.outer(unit, unit)
-        angular = (np.eye(self.n) - outer) / r
-        value = np.zeros(self.N)
-        jac = np.zeros((self.N, self.n))
-        hess = np.zeros((self.N, self.n, self.n))
-        for a, j in enumerate(self._components(jet_lift(r))):
-            value[a] = j.val
-            jac[a] = j.d1 * unit
-            hess[a] = j.d2 * outer + j.d1 * angular
-        return MapJet(value, jac, hess)
+        unit = p / r[..., None]
+        angular = (np.eye(self.n) - unit[..., :, None] * unit[..., None, :]) / r[..., None, None]
+        return r, unit, angular
 
 
 class PolarSpiralMap(_ProfileMap):
@@ -185,7 +181,7 @@ class PolarSpiralMap(_ProfileMap):
         k = self.phase.value(s)
         if isinstance(s, Jet2):
             return r * jet_cos(k), r * jet_sin(k)
-        return r * math.cos(k), r * math.sin(k)
+        return r * np.cos(k), r * np.sin(k)
 
 
 class ScalarProfileMap(_ProfileMap):
@@ -250,22 +246,23 @@ class TrigQuadMap(VectorMap):
 
     def map_jet(self, x) -> MapJet:
         p = self._as_point(x)
-        theta = self.wavevectors @ p + self.phases
+        theta = np.matvec(self.wavevectors, p) + self.phases
         sin_t = np.sin(theta)
         cos_t = np.cos(theta)
         value = (
             self.constant
-            + self.linear @ p
-            + 0.5 * np.einsum("aij,i,j->a", self.quadratic, p, p)
-            + self.amplitudes @ sin_t
+            + np.matvec(self.linear, p)
+            + 0.5 * np.einsum("aij,...i,...j->...a", self.quadratic, p, p)
+            + np.matvec(self.amplitudes, sin_t)
         )
         jac = (
             self.linear
-            + np.einsum("aij,j->ai", self.quadratic, p)
-            + (self.amplitudes * cos_t) @ self.wavevectors
+            + np.einsum("aij,...j->...ai", self.quadratic, p)
+            + (self.amplitudes * cos_t[..., None, :]) @ self.wavevectors
         )
         hess = self.quadratic - np.einsum(
-            "ak,ki,kj->aij", self.amplitudes * sin_t, self.wavevectors, self.wavevectors
+            "...ak,ki,kj->...aij", self.amplitudes * sin_t[..., None, :],
+            self.wavevectors, self.wavevectors,
         )
         return MapJet(value, jac, hess)
 
@@ -300,37 +297,26 @@ def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
 
     Jacobian from two-point central differences; hessian diagonal from the
     three-point second difference and mixed entries from the four-point
-    cross stencil, symmetrized by construction.
+    cross stencil, symmetrized by construction; one ``value`` call on the
+    shifted batch per stencil offset, 1 + 2n + 4·C(n, 2) in all.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = map_obj.n
+    e = np.eye(n) * h
     v0 = map_obj.value(x)
-    N = v0.shape[0]
-    plus = np.empty((n, N))
-    minus = np.empty((n, N))
+    jac = np.empty(v0.shape + (n,))
+    hess = np.empty(v0.shape + (n, n))
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        plus[i] = map_obj.value(x + e)
-        minus[i] = map_obj.value(x - e)
-    jac = (plus - minus).T / (2.0 * h)
-    hess = np.empty((N, n, n))
-    for i in range(n):
-        hess[:, i, i] = (plus[i] - 2.0 * v0 + minus[i]) / (h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            mixed = (
-                map_obj.value(x + ei + ej)
-                - map_obj.value(x + ei - ej)
-                - map_obj.value(x - ei + ej)
-                + map_obj.value(x - ei - ej)
-            ) / (4.0 * h * h)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
+        plus, minus = map_obj.value(x + e[i]), map_obj.value(x - e[i])
+        jac[..., i] = (plus - minus) / (2.0 * h)
+        hess[..., i, i] = (plus - 2.0 * v0 + minus) / (h * h)
+    for i, j in itertools.combinations(range(n), 2):
+        hess[..., i, j] = hess[..., j, i] = (
+            map_obj.value(x + e[i] + e[j])
+            - map_obj.value(x + e[i] - e[j])
+            - map_obj.value(x - e[i] + e[j])
+            + map_obj.value(x - e[i] - e[j])
+        ) / (4.0 * h * h)
     return MapJet(v0, jac, hess)

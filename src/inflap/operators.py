@@ -3,7 +3,10 @@
 The full operator splits into a tangential part Du ⊗ Du : D²u and a normal
 part |Du|² [Du]^perp Δu, where [Du]^perp projects onto the orthogonal
 complement of the range of the jacobian.  The two parts are mutually
-perpendicular, which the tests exercise on random jets.
+perpendicular, which the tests exercise on random jets.  Every operator
+takes a MapJet with any leading batch shape and gives one result per point,
+through ``...`` einsums and stacked products that give each point the bits
+it gets on its own.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ __all__ = [
     "normal",
     "infinity_laplacian",
     "perturbed_scalar",
+    "row_norm",
 ]
 
 
@@ -30,20 +34,25 @@ class OperatorValue:
     tangential: np.ndarray
     normal: np.ndarray
     full: np.ndarray
-    grad_norm_sq: float
-    singular_values: tuple[float, ...]
+    grad_norm_sq: float | np.ndarray
+    singular_values: tuple
 
 
-def grad_norm_sq(m) -> float:
+def row_norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-equal to np.linalg.norm of each row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def grad_norm_sq(m):
     """Squared Frobenius norm of the jacobian, |Du|² = Du : Du."""
     j = m.jacobian
-    return float(np.einsum("ai,ai->", j, j))
+    return np.einsum("...ai,...ai->...", j, j)
 
 
 def tangential(m) -> np.ndarray:
     """Component a of Du ⊗ Du : D²u, i.e. sum over i, j, b of
     D_i u_a D_j u_b D²_ij u_b."""
-    return np.einsum("ai,bj,bij->a", m.jacobian, m.jacobian, m.hessian)
+    return np.einsum("...ai,...bj,...bij->...a", m.jacobian, m.jacobian, m.hessian)
 
 
 def orthogonal_projection(jacobian: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -52,23 +61,24 @@ def orthogonal_projection(jacobian: np.ndarray, rank_tol: float = 1e-10) -> np.n
     Left singular vectors with sigma > rank_tol * sigma_max span the range;
     P = I - sum of their outer products.  A zero jacobian projects onto
     everything (P = I).  P is symmetrized so P = P^T holds exactly.
+    Stacked jacobians (..., N, n) give stacked projections (..., N, N).
     """
     if rank_tol <= 0.0:
         raise ValueError("rank_tol must be positive")
     j = np.asarray(jacobian, dtype=float)
-    big_n = j.shape[0]
     u, s, _ = np.linalg.svd(j, full_matrices=False)
-    p = np.eye(big_n)
-    if s.size and s[0] > 0.0:
-        keep = u[:, s > rank_tol * s[0]]
-        p -= keep @ keep.T
-    return 0.5 * (p + p.T)
+    top = s[..., :1]
+    # the dropped columns are zeroed, not removed, so stacks keep one shape
+    keep = u * ((s > rank_tol * top) & (top > 0.0))[..., None, :]
+    p = np.eye(j.shape[-2]) - keep @ np.swapaxes(keep, -1, -2)
+    return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
 def normal(m, rank_tol: float = 1e-10) -> np.ndarray:
     """|Du|² [Du]^perp Δu; identically zero for scalar maps."""
-    lap = np.einsum("bii->b", m.hessian)
-    return grad_norm_sq(m) * (orthogonal_projection(m.jacobian, rank_tol) @ lap)
+    lap = np.einsum("...bii->...b", m.hessian)
+    g = np.asarray(grad_norm_sq(m))[..., None]
+    return g * np.matvec(orthogonal_projection(m.jacobian, rank_tol), lap)
 
 
 def infinity_laplacian(m, rank_tol: float = 1e-10) -> OperatorValue:
@@ -85,15 +95,16 @@ def infinity_laplacian(m, rank_tol: float = 1e-10) -> OperatorValue:
         normal=norm_part,
         full=tang + norm_part,
         grad_norm_sq=grad_norm_sq(m),
-        singular_values=tuple(float(x) for x in s),
+        singular_values=tuple(s.tolist()),
     )
 
 
-def perturbed_scalar(v, f) -> float:
+def perturbed_scalar(v, f):
     """Scalar residual Dv ⊗ Dv : D²v + Dv · DF for two scalar jets."""
     if v.N != 1 or f.N != 1:
         raise ValueError("perturbed_scalar needs scalar (N = 1) jets")
     if v.n != f.n:
         raise ValueError(f"source dimension mismatch: {v.n} != {f.n}")
-    dv = v.jacobian[0]
-    return float(dv @ v.hessian[0] @ dv + dv @ f.jacobian[0])
+    dv = v.jacobian[..., 0, :]
+    dvh = np.vecmat(dv, v.hessian[..., 0, :, :])
+    return np.vecdot(dvh, dv) + np.vecdot(dv, f.jacobian[..., 0, :])

@@ -7,11 +7,12 @@ to a constant-speed pair, and ``PolarPhase``, the phase whose derivative is
 sqrt(M² - ρ'²)/ρ.
 
 Every profile writes two formulas, ``value(t)`` and ``d1(t)`` (its
-derivative).  Each takes a float or a :class:`Jet2` and returns the same
-kind: on a float it gives the number, on a jet it also carries the first
-two derivatives.  ``value(jet_lift(t))`` is the jet of the profile
-(value, d1, d2) and ``d1(jet_lift(t))`` the jet of its derivative
-(d1, d2, d3).
+derivative).  Each takes an array of parameters or a :class:`Jet2` of
+such arrays and returns the same kind: on an array it gives the numbers,
+on a jet it also carries the first two derivatives.  ``value(jet_lift(t))``
+is the jet of the profile (value, d1, d2) and ``d1(jet_lift(t))`` the jet
+of its derivative (d1, d2, d3).  One call evaluates a whole batch; each
+entry gets the bits the formula gives on a float.
 
 Integral-defined values are tabulated once by cumulative panel integration
 on a fixed grid anchored exactly at t = 0; point evaluation adds a short
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, JetDomainError, jet_exp, jet_sqrt
+from .jets import EvaluationError, Jet2, JetDomainError, exp, first_where, jet_exp, jet_sqrt
 from .quadrature import gauss_kronrod_15
 
 __all__ = [
@@ -55,9 +56,8 @@ class PhaseRangeError(EvaluationError):
 class Profile:
     """Base class: a scalar C-infinity function of one real variable.
 
-    Subclasses write ``value`` and ``d1`` for an argument that is a float
-    or a Jet2.  On a float they allocate no jet: that path runs for every
-    dense sample and every quadrature node.
+    Subclasses write ``value`` and ``d1`` for an array or a Jet2 of arrays:
+    one call covers every sample of a domain or node of a quadrature panel.
     """
 
     kind = "profile"
@@ -73,46 +73,49 @@ class Profile:
         raise NotImplementedError
 
 
+def _exp(x):
+    return jet_exp(x) if isinstance(x, Jet2) else exp(x)
+
+
 class _BranchBump(Profile):
     """Bumps of the form sign * exp(1/(s² - 1)) with s = offset + slope * t.
 
-    Subclasses provide ``_branch(t)`` returning (sign, offset, slope) of the
-    branch containing t inside the support and None outside; outside and at
-    seams the profile is exactly zero, the classical C-infinity limit.
+    ``branches`` holds (lo, hi, sign, offset, slope) for each open interval
+    of the support.  A formula runs only on the entries of a branch whose
+    d = s² - 1 lies below the seam cutoff; everywhere else, outside the
+    support and at the seams, the profile is exactly zero, the classical
+    C-infinity limit.
     """
 
-    @staticmethod
-    def _branch(t: float):
-        raise NotImplementedError
+    branches: tuple = ()
+
+    def _bump(self, t, formula):
+        is_jet = isinstance(t, Jet2)
+        shape = np.shape(t.val if is_jet else t)
+        flat = np.ravel(t.val if is_jet else t).astype(float, copy=False)
+        out = np.zeros((3 if is_jet else 1, flat.size))  # value (and d1, d2) rows
+        for lo, hi, sign, offset, slope in self.branches:
+            idx = np.flatnonzero((lo < flat) & (flat < hi))
+            s = offset + slope * flat[idx]
+            idx = idx[s * s - 1.0 < _SEAM_CUTOFF]
+            sub = flat[idx]
+            if is_jet:
+                sub = Jet2(sub, *(c if np.ndim(c) == 0 else np.ravel(c)[idx] for c in (t.d1, t.d2)))
+            s = offset + slope * sub
+            r = formula(sign, s, s * s - 1.0, slope)
+            for row, c in zip(out, r.as_tuple() if is_jet else (r,)):
+                row[idx] = c
+        rows = [row.reshape(shape) for row in out]
+        return Jet2(*rows) if is_jet else rows[0]
 
     def value(self, t):
-        is_jet = isinstance(t, Jet2)
-        b = self._branch(t.val if is_jet else t)
-        if b is not None:
-            sign, offset, slope = b
-            s = offset + slope * t
-            d = s * s - 1.0
-            if is_jet:
-                if d.val < _SEAM_CUTOFF:
-                    return jet_exp(1.0 / d) * sign
-            elif d < _SEAM_CUTOFF:
-                return sign * math.exp(1.0 / d)
-        return Jet2(0.0) if is_jet else 0.0
+        return self._bump(t, lambda sign, s, d, slope: sign * _exp(1.0 / d))
 
     def d1(self, t):
         # sign * exp(1/d) * (-d'/d²) with d' = 2 s s' and s' = slope
-        is_jet = isinstance(t, Jet2)
-        b = self._branch(t.val if is_jet else t)
-        if b is not None:
-            sign, offset, slope = b
-            s = offset + slope * t
-            d = s * s - 1.0
-            if is_jet:
-                if d.val < _SEAM_CUTOFF:
-                    return jet_exp(1.0 / d) * -(s * (2.0 * slope) / (d * d)) * sign
-            elif d < _SEAM_CUTOFF:
-                return math.exp(1.0 / d) * -(s * (2.0 * slope) / (d * d)) * sign
-        return Jet2(0.0) if is_jet else 0.0
+        return self._bump(
+            t, lambda sign, s, d, slope: _exp(1.0 / d) * -(s * (2.0 * slope) / (d * d)) * sign
+        )
 
 
 class BumpW1(_BranchBump):
@@ -127,13 +130,7 @@ class BumpW1(_BranchBump):
     support = (-2.0, 2.0)
     sup_search_interval = (-2.0, 2.0)
 
-    @staticmethod
-    def _branch(t: float):
-        if 0.0 < t < 2.0:
-            return -1.0, 1.0, -1.0
-        if -2.0 < t < 0.0:
-            return 1.0, 1.0, 1.0
-        return None
+    branches = ((0.0, 2.0, -1.0, 1.0, -1.0), (-2.0, 0.0, 1.0, 1.0, 1.0))
 
 
 class BumpZ1(_BranchBump):
@@ -143,11 +140,7 @@ class BumpZ1(_BranchBump):
     support = (1.0, 3.0)
     sup_search_interval = (1.0, 3.0)
 
-    @staticmethod
-    def _branch(t: float):
-        if 1.0 < t < 3.0:
-            return 1.0, 2.0, -1.0
-        return None
+    branches = ((1.0, 3.0, 1.0, 2.0, -1.0),)
 
 
 class GaussianRho(Profile):
@@ -157,13 +150,10 @@ class GaussianRho(Profile):
     sup_search_interval = (-6.0, 6.0)
 
     def value(self, t):
-        if isinstance(t, Jet2):
-            return jet_exp(-(t * t))
-        return math.exp(-(t * t))
+        return _exp(-(t * t))
 
     def d1(self, t):
-        e = jet_exp(-(t * t)) if isinstance(t, Jet2) else math.exp(-(t * t))
-        return -2.0 * t * e
+        return -2.0 * t * _exp(-(t * t))
 
 
 class _CumulativeTable:
@@ -184,37 +174,26 @@ class _CumulativeTable:
         self.j_lo = math.floor(lo / self.step)
         self.j_hi = math.ceil(hi / self.step)
         self.integrand = integrand
-        count = self.j_hi - self.j_lo
-        panel = np.empty(count)
-        for k in range(count):
-            j = self.j_lo + k
-            panel[k], _ = gauss_kronrod_15(integrand, j * self.step, (j + 1) * self.step)
-        cum = np.zeros(count + 1)
+        j = np.arange(self.j_lo, self.j_hi)
+        panel, _ = gauss_kronrod_15(integrand, j * self.step, (j + 1) * self.step)
         anchor = -self.j_lo  # index of node j = 0
-        acc = 0.0
-        for k in range(anchor, count):
-            acc += panel[k]
-            cum[k + 1] = acc
-        acc = 0.0
-        for k in range(anchor - 1, -1, -1):
-            acc -= panel[k]
-            cum[k] = acc
+        # sequential running sums outward from the anchor node
+        cum = np.zeros(len(panel) + 1)
+        cum[anchor + 1:] = np.cumsum(panel[anchor:])
+        cum[:anchor] = np.cumsum(-panel[:anchor][::-1])[::-1]
         self._cum = cum
         self.t_lo = self.j_lo * self.step
         self.t_hi = self.j_hi * self.step
         self.lo_value = float(cum[0])
         self.hi_value = float(cum[-1])
 
-    def value(self, t: float) -> float:
+    def value(self, t):
         """Integral from 0 to t, for t within the tabulated range."""
-        j = math.floor(t / self.step)
-        j = min(max(j, self.j_lo), self.j_hi)
+        j = np.clip(np.floor(t / self.step), self.j_lo, self.j_hi)
         node = j * self.step
-        base = float(self._cum[j - self.j_lo])
-        if t == node:
-            return base
+        base = self._cum[(j - self.j_lo).astype(int)]
         corr, _ = gauss_kronrod_15(self.integrand, node, t)
-        return base + corr
+        return np.where(t == node, base, base + corr)
 
 
 class _IntegralProfile(Profile):
@@ -228,7 +207,7 @@ class _IntegralProfile(Profile):
 
     M: float
 
-    def _integral(self, t: float) -> float:
+    def _integral(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, t):
@@ -239,17 +218,15 @@ class _IntegralProfile(Profile):
         return self._integral(t)
 
     def _root(self, p1, t):
-        """sqrt(M² - p1²) for p1 = p'(t), on a float or a jet."""
+        """sqrt(M² - p1²) for p1 = p'(t), on an array or a jet."""
         v = self.M * self.M - p1 * p1
-        if isinstance(v, Jet2):
-            if v.val > 0.0:
-                return jet_sqrt(v)
-        elif v > 0.0:
-            return math.sqrt(v)
-        raise JetDomainError(
-            f"speed bound {self.M!r} does not dominate the profile derivative "
-            f"at t={getattr(t, 'val', t)!r}"
-        )
+        bad = ~(np.asarray(getattr(v, "val", v)) > 0.0)
+        if np.any(bad):
+            raise JetDomainError(
+                f"speed bound {self.M!r} does not dominate the profile derivative "
+                f"at t={first_where(bad, getattr(t, 'val', t))!r}"
+            )
+        return jet_sqrt(v) if isinstance(v, Jet2) else np.sqrt(v)
 
 
 class ArcComplement(_IntegralProfile):
@@ -277,13 +254,14 @@ class ArcComplement(_IntegralProfile):
     def d1(self, t):
         return self._root(self.base.d1(t), t)
 
-    def _integral(self, t: float) -> float:
+    def _integral(self, t):
         tab = self._table
-        if t > tab.t_hi:
-            return tab.hi_value + self.M * (t - tab.t_hi)
-        if t < tab.t_lo:
-            return tab.lo_value + self.M * (t - tab.t_lo)
-        return tab.value(t)
+        inside = tab.value(np.clip(t, tab.t_lo, tab.t_hi))
+        return np.where(
+            t > tab.t_hi,
+            tab.hi_value + self.M * (t - tab.t_hi),
+            np.where(t < tab.t_lo, tab.lo_value + self.M * (t - tab.t_lo), inside),
+        )
 
 
 class PolarPhase(_IntegralProfile):
@@ -311,10 +289,12 @@ class PolarPhase(_IntegralProfile):
     def d1(self, t):
         return self._root(self.rho.d1(t), t) / self.rho.value(t)
 
-    def _integral(self, t: float) -> float:
-        if abs(t) > self.t_max * (1.0 + 1e-12):
+    def _integral(self, t):
+        bad = np.abs(t) > self.t_max * (1.0 + 1e-12)
+        if np.any(bad):
             raise PhaseRangeError(
-                f"phase evaluation at t={t!r} outside the guarded range |t| <= {self.t_max!r}"
+                f"phase evaluation at t={first_where(bad, t)!r} outside the guarded range "
+                f"|t| <= {self.t_max!r}"
             )
         return self._table.value(t)
 
@@ -361,12 +341,11 @@ def estimate_sup_abs_d1(
     """Dense-grid maximum of |profile'| refined by a golden-section polish."""
     a, b = interval if interval is not None else profile.sup_search_interval
     ts = np.linspace(a, b, samples)
-    # Python floats: scalar arithmetic on numpy floats is several times slower
-    vals = np.abs(np.fromiter(map(profile.d1, ts.tolist()), float, samples))
+    vals = np.abs(profile.d1(ts))
     i = int(np.argmax(vals))
     lo = float(ts[max(i - 1, 0)])
     hi = float(ts[min(i + 1, samples - 1)])
-    polished = _golden_max(lambda t: abs(profile.d1(t)), lo, hi)
+    polished = _golden_max(lambda t: float(abs(profile.d1(t))), lo, hi)
     return max(float(vals[i]), polished)
 
 
@@ -381,8 +360,6 @@ def choose_M(
     The relative margin keeps sqrt(M² - profile'²) bounded away from zero,
     so arc-complement second derivatives stay well conditioned.
     """
-    if safety <= 0.0:
-        raise ValueError("safety margin must be positive")
     sup = estimate_sup_abs_d1(profile, interval=interval, samples=samples)
     if sup <= 1e-12:
         raise ValueError("profile derivative vanishes; no meaningful speed bound exists")

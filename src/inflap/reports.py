@@ -220,11 +220,7 @@ def emit_profile_tables(dir_path: str, scenarios, grid_points: int = 2001) -> li
     The witness abscissas are merged into the grid so the tabulated extrema
     hit the analytic ones (±1/e for the bumps, 1 for the Gaussian peak).
     """
-    kinds: list[str] = []
-    for sc in scenarios:
-        for kind in _PROFILES_BY_SCENARIO.get(sc, ()):
-            if kind not in kinds:
-                kinds.append(kind)
+    kinds = dict.fromkeys(k for sc in scenarios for k in _PROFILES_BY_SCENARIO.get(sc, ()))
     os.makedirs(dir_path, exist_ok=True)
     written = []
     for kind in kinds:
@@ -238,7 +234,7 @@ def emit_profile_tables(dir_path: str, scenarios, grid_points: int = 2001) -> li
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("t", "value"))
-            for t in ts:
-                writer.writerow((_format_float(float(t)), _format_float(profile.value(float(t)))))
+            for t, v in zip(ts.tolist(), profile.value(ts).tolist()):
+                writer.writerow((_format_float(t), _format_float(v)))
         written.append(path)
     return written

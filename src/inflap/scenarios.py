@@ -34,6 +34,7 @@ from .checkers import (
     residual_certify,
     slab_domain,
 )
+from .jets import EvaluationError
 from .maps import (
     CurveMap,
     MapJet,
@@ -44,7 +45,7 @@ from .maps import (
     TrigQuadMap,
     polar_decompose,
 )
-from .operators import grad_norm_sq, normal, orthogonal_projection, tangential
+from .operators import grad_norm_sq, normal, orthogonal_projection, row_norm, tangential
 from .profiles import (
     ArcComplement,
     BumpW1,
@@ -103,6 +104,14 @@ _POSITIVE_FIELDS = (
 )
 
 
+def _stencil_reach(cfg: ScenarioConfig) -> float:
+    """Largest |coordinate| of the residual domain (ex2's slab for the
+    property suite), cross-section offsets included."""
+    name = "ex2" if cfg.scenario == "properties" else cfg.scenario
+    kind, lo, hi = _CONSTRUCTIONS[name].residual_domain
+    return max(-lo, hi, 0.5 * cfg.cross_extent if kind == "slab" and cfg.n > 1 else 0.0)
+
+
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """Field-by-field validation; returns a list of error strings."""
     errors = []
@@ -139,6 +148,12 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             errors.append(
                 f"t_max: must lie in [{reach!r}, {top!r}] for {cfg.scenario}, got {cfg.t_max!r}"
             )
+    if cfg.scenario in SCENARIO_NAMES and not invalid & {"fd_step", "cross_extent"}:
+        # x ± fd_step must differ from x at the reach; the features have unit width
+        reach = _stencil_reach(cfg)
+        if not (reach + cfg.fd_step > reach and cfg.fd_step <= 1e-2):
+            errors.append(f"fd_step: must satisfy {reach!r} + fd_step > {reach!r} and "
+                          f"fd_step <= 0.01, got {cfg.fd_step!r}")
     if cfg.seed < 0:
         errors.append("seed: must be >= 0")
     if cfg.format not in ("json", "csv"):
@@ -170,21 +185,11 @@ class CheckReport:
     timings: dict = field(default_factory=dict)
 
 
-def _unit(k: int, length: int) -> np.ndarray:
-    e = np.zeros(length)
-    e[k] = 1.0
-    return e
-
-
 def _two_sided_failure(v_neg, v_pos, half_margin: float) -> bool:
     """Exactly one slab violates the maximum principle, the other the
     minimum principle, each by at least half the analytic margin."""
-    max_flags = [
-        v.max_violation_margin >= half_margin for v in (v_neg, v_pos)
-    ]
-    min_flags = [
-        v.min_violation_margin >= half_margin for v in (v_neg, v_pos)
-    ]
+    max_flags = [v.max_violation_margin >= half_margin for v in (v_neg, v_pos)]
+    min_flags = [v.min_violation_margin >= half_margin for v in (v_neg, v_pos)]
     if sum(max_flags) != 1 or sum(min_flags) != 1:
         return False
     return max_flags.index(True) != min_flags.index(True)
@@ -214,15 +219,15 @@ def _perturbed_scalar(w1, M, cfg):
 
 def _along(k: int):
     """Principle check of the projection onto the k-th target axis."""
-    return lambda u, domain, cfg: directional_check(u, _unit(k, cfg.N), domain)
+    return lambda u, domain, cfg: directional_check(u, np.eye(cfg.N)[k], domain)
 
 
 def _modulus(u, domain, cfg):
-    return max_principle_check(lambda x: float(np.linalg.norm(u.value(x))), domain)
+    return max_principle_check(lambda x: row_norm(u.value(x)), domain)
 
 
 def _scalar_value(u, domain, cfg):
-    return max_principle_check(lambda x: float(u.value(x)[0]), domain)
+    return max_principle_check(lambda x: u.value(x)[..., 0], domain)
 
 
 @dataclass(frozen=True)
@@ -367,31 +372,32 @@ def _relative_perpendicularity_defect(m: MapJet, t_vec, n_vec) -> float | None:
     return abs(float(t_vec @ n_vec)) / (t_norm * n_norm)
 
 
+def _worst(values) -> float:
+    """Largest value, 0.0 for none; a NaN propagates."""
+    return float(np.max(values, initial=0.0))
+
+
 def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     rng = np.random.default_rng(cfg.seed)
     dims = [(N, n) for N in (1, 2, 3, 5) for n in (1, 2, 3)]
     samples = 500
 
-    max_asym = max_idem = max_annih = max_perp = max_scalar_normal = 0.0
-    scalar_samples = 0
-    perp_samples = 0
+    asym, idem, annih, perp, scalar_abs = [], [], [], [], []
     for k in range(samples):
         N, n = dims[k % len(dims)]
         m = _random_map_jet(rng, N, n)
         p = orthogonal_projection(m.jacobian)
-        max_asym = max(max_asym, float(np.abs(p - p.T).max()))
-        max_idem = max(max_idem, float(np.abs(p @ p - p).max()))
-        jnorm = float(np.linalg.norm(m.jacobian))
-        max_annih = max(max_annih, float(np.linalg.norm(p @ m.jacobian)) / jnorm)
-        t_vec = tangential(m)
+        asym.append(np.abs(p - p.T).max())
+        idem.append(np.abs(p @ p - p).max())
+        annih.append(float(np.linalg.norm(p @ m.jacobian)) / float(np.linalg.norm(m.jacobian)))
         n_vec = normal(m)
-        rel = _relative_perpendicularity_defect(m, t_vec, n_vec)
+        rel = _relative_perpendicularity_defect(m, tangential(m), n_vec)
         if rel is not None:
-            perp_samples += 1
-            max_perp = max(max_perp, rel)
+            perp.append(rel)
         if N == 1:
-            scalar_samples += 1
-            max_scalar_normal = max(max_scalar_normal, float(np.abs(n_vec).max()))
+            scalar_abs.append(np.abs(n_vec).max())
+    max_asym, max_idem, max_annih = _worst(asym), _worst(idem), _worst(annih)
+    max_perp, max_scalar_normal = _worst(perp), _worst(scalar_abs)
     projection = {
         "samples": samples,
         "max_asymmetry": max_asym,
@@ -402,13 +408,13 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     }
     perpendicularity = {
         "samples": samples,
-        "nonzero_normal_samples": perp_samples,
+        "nonzero_normal_samples": len(perp),
         "max_relative_dot": max_perp,
         "tol": 1e-9,
-        "pass": max_perp <= 1e-9 and perp_samples > 0,
+        "pass": max_perp <= 1e-9 and len(perp) > 0,
     }
     scalar_normal = {
-        "samples": scalar_samples,
+        "samples": len(scalar_abs),
         "max_abs": max_scalar_normal,
         "pass": max_scalar_normal == 0.0,
     }
@@ -416,7 +422,7 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     # tangential = Du · D(half |Du|²), gradient taken by central differences
     # of the scalar field x -> half |Du(x)|²
     h = cfg.fd_step
-    max_rel = 0.0
+    rels = []
     n_maps, pts_per_map = 20, 5
     for k in range(n_maps):
         N, n = dims[k % len(dims)]
@@ -434,7 +440,8 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
             ident = m.jacobian @ grad
             t_vec = tangential(m)
             scale = max(float(np.linalg.norm(t_vec)), float(np.linalg.norm(ident)), 1e-8)
-            max_rel = max(max_rel, float(np.linalg.norm(t_vec - ident)) / scale)
+            rels.append(float(np.linalg.norm(t_vec - ident)) / scale)
+    max_rel = _worst(rels)
     gradient_identity = {
         "maps": n_maps,
         "points_per_map": pts_per_map,
@@ -448,8 +455,7 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     sb = choose_M(rho, cfg.safety)
     phase = PolarPhase(sb.M, t_max=cfg.t_max, cells=cfg.cache_cells, rho=rho)
     u3 = PolarSpiralMap(rho, phase, n=1, N=2)
-    max_polar_rel = 0.0
-    max_direction_dot = 0.0
+    polar_rels, direction_dots = [], []
     polar_samples = 100
     _, lo, hi = _CONSTRUCTIONS["ex2"].residual_domain
     for t in rng.uniform(lo, hi, size=polar_samples):
@@ -459,10 +465,9 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         rhs = float(pd.grad_rho @ pd.grad_rho) + pd.rho**2 * float(
             np.einsum("ai,ai->", pd.grad_direction, pd.grad_direction)
         )
-        max_polar_rel = max(max_polar_rel, abs(lhs - rhs) / abs(lhs))
-        max_direction_dot = max(
-            max_direction_dot, float(np.abs(pd.direction @ pd.grad_direction).max())
-        )
+        polar_rels.append(abs(lhs - rhs) / abs(lhs))
+        direction_dots.append(np.abs(pd.direction @ pd.grad_direction).max())
+    max_polar_rel, max_direction_dot = _worst(polar_rels), _worst(direction_dots)
     polar = {
         "samples": polar_samples,
         "max_relative_error": max_polar_rel,
@@ -479,6 +484,10 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         "tangential_gradient_identity": PropertyCheck("max_relative_error", gradient_identity),
         "polar_identity": PropertyCheck("max_relative_error", polar),
     }
+    for name, check in properties.items():
+        for key, value in check.stats.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise EvaluationError(f"property {name}: {key} is {value!r}, not finite")
     overall = all(p.stats["pass"] for p in properties.values())
     return CheckReport(cfg, sb, overall, properties=properties)
 def run_scenario(cfg: ScenarioConfig) -> CheckReport:

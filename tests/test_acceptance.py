@@ -151,7 +151,7 @@ def test_criterion_8_determinism_and_monotonicity(reports):
             )
             sup_moduli.append(
                 max_principle_check(
-                    lambda x: float(np.linalg.norm(u3.value(x))), d
+                    lambda x: np.linalg.norm(u3.value(x), axis=-1), d
                 ).sup_interior
             )
             ts = refine_abscissas(ts)

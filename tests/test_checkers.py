@@ -175,7 +175,7 @@ class TestPrincipleChecks:
     def test_modulus_margin_on_polar_map(self, u3_setup):
         u3, _ = u3_setup
         d = slab_domain(-1.0, 1.0, grid_points=GRID, witnesses=WITNESSES)
-        v = max_principle_check(lambda x: float(np.linalg.norm(u3.value(x))), d)
+        v = max_principle_check(lambda x: np.linalg.norm(u3.value(x), axis=-1), d)
         assert v.sup_interior == pytest.approx(1.0, abs=1e-12)
         assert v.max_boundary == pytest.approx(INV_E, abs=1e-12)
         assert v.max_violation_margin == pytest.approx(1.0 - INV_E, abs=1e-12)
@@ -191,7 +191,7 @@ class TestPrincipleChecks:
 
     def test_constant_field_has_no_violation(self):
         d = slab_domain(-1.0, 1.0, grid_points=21)
-        v = max_principle_check(lambda x: 3.25, d)
+        v = max_principle_check(lambda x: np.full(len(x), 3.25), d)
         assert v.max_violation_margin <= 0.0
         assert v.min_violation_margin <= 0.0
 
@@ -332,17 +332,20 @@ class _NanAtOnePoint(VectorMap):
         self.bad = bad
 
     def map_jet(self, x) -> MapJet:
-        t = self._as_point(x)[0]
-        if t == self.bad:
-            t = math.nan
-        return MapJet([t, t * t], [[1.0], [2.0 * t]], [[[0.0]], [[2.0]]])
+        t = self._as_point(x)[..., 0]
+        t = np.where(t == self.bad, math.nan, t)
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        value = np.stack([t, t * t], axis=-1)
+        jac = np.stack([one, 2.0 * t], axis=-1)[..., None]
+        hess = np.stack([zero, 2.0 * one], axis=-1)[..., None, None]
+        return MapJet(value, jac, hess)
 
 
 class TestNonFiniteSamples:
     @pytest.mark.parametrize("check", [
         lambda u, d: residual_certify(u, "tangential", d, 1.0),
         lambda u, d: residual_certify(u, "tangential", d, 1.0, jet_source="fd"),
-        lambda u, d: max_principle_check(lambda x: u.value(x)[0], d),
+        lambda u, d: max_principle_check(lambda x: u.value(x)[..., 0], d),
         lambda u, d: conservation_check(u, d, 1.0),
         lambda u, d: hull_check(u, d),
     ], ids=["residual_analytic", "residual_fd", "principle", "conservation", "hull"])
@@ -364,7 +367,7 @@ class TestMonotoneRefinement:
             d = slab_domain(-1.0, 1.0, abscissas=ts)
             rep = residual_certify(u1, "tangential", d, 1e-8 * sb1.M**3)
             sup_residuals.append(rep.sup_residual)
-            verdict = max_principle_check(lambda x: float(np.linalg.norm(u3.value(x))), d)
+            verdict = max_principle_check(lambda x: np.linalg.norm(u3.value(x), axis=-1), d)
             sup_moduli.append(verdict.sup_interior)
             ts = refine_abscissas(ts)
         assert sup_residuals[0] <= sup_residuals[1] <= sup_residuals[2]

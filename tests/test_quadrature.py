@@ -51,7 +51,7 @@ def _richardson_trapezoid(f, a, b, n=1 << 20):
     """Trapezoid sums at n and n/2 points, Richardson-extrapolated: the
     independent fixed-step oracle."""
     xs = np.linspace(a, b, n + 1)
-    ys = np.asarray([f(x) for x in xs])
+    ys = f(xs)
     fine = np.trapezoid(ys, xs)
     coarse = np.trapezoid(ys[::2], xs[::2])
     return fine + (fine - coarse) / 3.0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inflap import cli
+from inflap import cli, scenarios
 from inflap.cli import main
 from inflap.jets import JetDomainError
 from inflap.profiles import BumpW1
@@ -264,6 +264,13 @@ class TestCli:
         assert main(["ex3", "--grid", "51"]) == 3
         assert "aborted" in capsys.readouterr().err
 
+    def test_non_finite_property_statistic_exit_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(scenarios, "grad_norm_sq", lambda m: math.nan)
+        assert main(["properties", "--grid", "51"]) == 3
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert "Traceback" not in err
+
     def test_unexpected_exception_exit_four(self, monkeypatch, capsys):
         def broken(cfg):
             raise RuntimeError("injected")
@@ -304,10 +311,13 @@ class TestCli:
         (["properties"], "t_max=1000\n", "t_max"),
         (["ex2"], "t_max=26.6\ncache_cells=17\n", "t_max"),
         (["ex2"], "t_max=26.7\n", "t_max"),
+        (["ex1a"], "fd_step=1e308\n", "fd_step"),
+        (["ex3"], "fd_step=1e-300\n", "fd_step"),
     ], ids=["safety_nan", "safety_inf", "tol_scale_nan", "seed_negative", "config_hull_tol_nan",
             "safety_below_eps", "safety_overflow", "ex2_t_max_short", "ex2_t_max_no_fd_room",
             "properties_t_max_short", "ex2_t_max_underflow", "properties_t_max_underflow",
-            "ex2_t_max_odd_cells", "ex2_t_max_inf_in_table"])
+            "ex2_t_max_odd_cells", "ex2_t_max_inf_in_table", "ex1a_fd_step_huge",
+            "ex3_fd_step_below_ulp"])
     def test_non_finite_or_out_of_range_value_exit_two(self, tmp_path, argv, config, field):
         if config is not None:
             cfgfile = tmp_path / "cfg"
