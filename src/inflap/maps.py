@@ -269,12 +269,12 @@ class TrigQuadMap(VectorMap):
 
 @dataclass
 class PolarDecomposition:
-    """First-order polar data of a map at a point: u = rho * direction."""
+    """First-order polar data of a map at a batch of points: u = rho * direction."""
 
-    rho: float
-    grad_rho: np.ndarray       # (n,)
-    direction: np.ndarray      # (N,), unit vector
-    grad_direction: np.ndarray  # (N, n)
+    rho: float | np.ndarray     # (...)
+    grad_rho: np.ndarray        # (..., n)
+    direction: np.ndarray       # (..., N), unit vectors
+    grad_direction: np.ndarray  # (..., N, n)
 
 
 def polar_decompose(m: MapJet) -> PolarDecomposition:
@@ -283,12 +283,14 @@ def polar_decompose(m: MapJet) -> PolarDecomposition:
     The direction gradient satisfies direction·D_i(direction) = 0, so
     |Du|² = |D rho|² + rho² |D direction|².
     """
-    rho = float(np.linalg.norm(m.value))
-    if rho == 0.0:
+    rho = row_norm(m.value)
+    if np.any(rho == 0.0):
         raise MapDomainError("polar decomposition is undefined where the map vanishes")
-    direction = m.value / rho
-    grad_rho = m.value @ m.jacobian / rho
-    grad_direction = m.jacobian / rho - np.outer(direction, grad_rho) / rho
+    r = rho[..., None]
+    direction = m.value / r
+    grad_rho = np.vecmat(m.value, m.jacobian) / r
+    outer = direction[..., :, None] * grad_rho[..., None, :]
+    grad_direction = m.jacobian / r[..., None] - outer / r[..., None]
     return PolarDecomposition(rho, grad_rho, direction, grad_direction)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -346,35 +346,14 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     )
 
 
-def _random_map_jet(rng: np.random.Generator, N: int, n: int) -> MapJet:
-    jac = rng.normal(size=(N, n))
-    hess = rng.normal(size=(N, n, n))
-    hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-    return MapJet(rng.normal(size=N), jac, hess)
+def _worst(*values) -> float:
+    """Largest entry of the arrays, 0.0 for none; a NaN propagates."""
+    return float(np.max(np.concatenate(values), initial=0.0))
 
 
-def _relative_perpendicularity_defect(m: MapJet, t_vec, n_vec) -> float | None:
-    """|T·N| / (|T| |N|), or None when either summand is numerically zero.
-
-    When the jacobian has full row rank the projection vanishes and the
-    computed normal part is pure roundoff; perpendicularity then holds
-    because one summand is zero, and an angle against noise would be
-    meaningless.  The floor is the roundoff scale of the normal assembly,
-    |Du|² * |lap| * O(eps).
-    """
-    t_norm = float(np.linalg.norm(t_vec))
-    n_norm = float(np.linalg.norm(n_vec))
-    lap = np.einsum("bii->b", m.hessian)
-    g = float(np.einsum("ai,ai->", m.jacobian, m.jacobian))
-    noise_floor = 64.0 * np.finfo(float).eps * g * float(np.linalg.norm(lap))
-    if t_norm == 0.0 or n_norm <= noise_floor:
-        return None
-    return abs(float(t_vec @ n_vec)) / (t_norm * n_norm)
-
-
-def _worst(values) -> float:
-    """Largest value, 0.0 for none; a NaN propagates."""
-    return float(np.max(values, initial=0.0))
+def _frobenius(a) -> np.ndarray:
+    """Frobenius norm of each matrix, bit-equal to np.linalg.norm of each."""
+    return row_norm(a.reshape(a.shape[:-2] + (-1,)))
 
 
 def _run_properties(cfg: ScenarioConfig) -> CheckReport:
@@ -382,22 +361,40 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     dims = [(N, n) for N in (1, 2, 3, 5) for n in (1, 2, 3)]
     samples = 500
 
-    asym, idem, annih, perp, scalar_abs = [], [], [], [], []
+    # random jets, drawn one at a time (jacobian, hessian, value) and
+    # stacked into one batch per (N, n)
+    drawn = {d: [] for d in dims}
     for k in range(samples):
         N, n = dims[k % len(dims)]
-        m = _random_map_jet(rng, N, n)
+        jac = rng.normal(size=(N, n))
+        hess = rng.normal(size=(N, n, n))
+        drawn[N, n].append((rng.normal(size=N), jac, 0.5 * (hess + hess.transpose(0, 2, 1))))
+    asym, idem, annih, perp, scalar_abs = [], [], [], [], []
+    for (N, n), rows in drawn.items():
+        m = MapJet(*(np.stack(a) for a in zip(*rows)))
         p = orthogonal_projection(m.jacobian)
-        asym.append(np.abs(p - p.T).max())
-        idem.append(np.abs(p @ p - p).max())
-        annih.append(float(np.linalg.norm(p @ m.jacobian)) / float(np.linalg.norm(m.jacobian)))
-        n_vec = normal(m)
-        rel = _relative_perpendicularity_defect(m, tangential(m), n_vec)
-        if rel is not None:
-            perp.append(rel)
+        asym.append(np.abs(p - np.swapaxes(p, -1, -2)).max(axis=(-2, -1)))
+        idem.append(np.abs(p @ p - p).max(axis=(-2, -1)))
+        annih.append(_frobenius(p @ m.jacobian) / _frobenius(m.jacobian))
+        t_vec, n_vec = tangential(m), normal(m)
+        t_norm, n_norm = row_norm(t_vec), row_norm(n_vec)
+        # |T·N| / (|T| |N|) only where both summands are numerically nonzero,
+        # selected before dividing, since a dropped sample may have |T| = 0.
+        # When the jacobian has full row rank the projection vanishes and the
+        # computed normal part is pure roundoff; perpendicularity then holds
+        # because one summand is zero, and an angle against noise would be
+        # meaningless.  The floor is the roundoff scale of the normal
+        # assembly, |Du|² * |lap| * O(eps).
+        lap = np.einsum("...bii->...b", m.hessian)
+        noise_floor = 64.0 * np.finfo(float).eps * grad_norm_sq(m) * row_norm(lap)
+        kept = (t_norm != 0.0) & (n_norm > noise_floor)
+        dot = np.vecdot(t_vec[kept], n_vec[kept])
+        perp.append(np.abs(dot) / (t_norm[kept] * n_norm[kept]))
         if N == 1:
-            scalar_abs.append(np.abs(n_vec).max())
-    max_asym, max_idem, max_annih = _worst(asym), _worst(idem), _worst(annih)
-    max_perp, max_scalar_normal = _worst(perp), _worst(scalar_abs)
+            scalar_abs.append(np.abs(n_vec).max(axis=-1))
+    max_asym, max_idem, max_annih = _worst(*asym), _worst(*idem), _worst(*annih)
+    max_perp, max_scalar_normal = _worst(*perp), _worst(*scalar_abs)
+    n_perp = sum(len(r) for r in perp)
     projection = {
         "samples": samples,
         "max_asymmetry": max_asym,
@@ -408,40 +405,37 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     }
     perpendicularity = {
         "samples": samples,
-        "nonzero_normal_samples": len(perp),
+        "nonzero_normal_samples": n_perp,
         "max_relative_dot": max_perp,
         "tol": 1e-9,
-        "pass": max_perp <= 1e-9 and len(perp) > 0,
+        "pass": max_perp <= 1e-9 and n_perp > 0,
     }
     scalar_normal = {
-        "samples": len(scalar_abs),
+        "samples": sum(len(r) for r in scalar_abs),
         "max_abs": max_scalar_normal,
         "pass": max_scalar_normal == 0.0,
     }
 
     # tangential = Du · D(half |Du|²), gradient taken by central differences
-    # of the scalar field x -> half |Du(x)|²
+    # of the scalar field x -> half |Du(x)|²; each map's points are one batch
     h = cfg.fd_step
     rels = []
     n_maps, pts_per_map = 20, 5
     for k in range(n_maps):
         N, n = dims[k % len(dims)]
         mp = TrigQuadMap.random(rng, n, N)
-        for _ in range(pts_per_map):
-            x = rng.uniform(-1.5, 1.5, size=n)
-            m = mp.map_jet(x)
-            grad = np.zeros(n)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                gp = 0.5 * grad_norm_sq(mp.map_jet(x + e))
-                gm = 0.5 * grad_norm_sq(mp.map_jet(x - e))
-                grad[i] = (gp - gm) / (2.0 * h)
-            ident = m.jacobian @ grad
-            t_vec = tangential(m)
-            scale = max(float(np.linalg.norm(t_vec)), float(np.linalg.norm(ident)), 1e-8)
-            rels.append(float(np.linalg.norm(t_vec - ident)) / scale)
-    max_rel = _worst(rels)
+        x = rng.uniform(-1.5, 1.5, size=(pts_per_map, n))
+        m = mp.map_jet(x)
+        grad = np.empty((pts_per_map, n))
+        for i, e in enumerate(np.eye(n) * h):
+            gp = 0.5 * grad_norm_sq(mp.map_jet(x + e))
+            gm = 0.5 * grad_norm_sq(mp.map_jet(x - e))
+            grad[:, i] = (gp - gm) / (2.0 * h)
+        ident = np.matvec(m.jacobian, grad)
+        t_vec = tangential(m)
+        scale = np.maximum(np.maximum(row_norm(t_vec), row_norm(ident)), 1e-8)
+        rels.append(row_norm(t_vec - ident) / scale)
+    max_rel = _worst(*rels)
     gradient_identity = {
         "maps": n_maps,
         "points_per_map": pts_per_map,
@@ -450,24 +444,21 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         "pass": max_rel <= 1e-5,
     }
 
-    # polar identity on the polar-spiral construction, over ex2's residual slab
-    rho = GaussianRho()
+    # polar identity on ex2's polar-spiral construction, over its residual slab
+    spec = _CONSTRUCTIONS["ex2"]
+    rho = spec.profile()
     sb = choose_M(rho, cfg.safety)
-    phase = PolarPhase(sb.M, t_max=cfg.t_max, cells=cfg.cache_cells, rho=rho)
-    u3 = PolarSpiralMap(rho, phase, n=1, N=2)
-    polar_rels, direction_dots = [], []
+    u, _ = spec.build(rho, sb.M, replace(cfg, n=1, N=2))
     polar_samples = 100
-    _, lo, hi = _CONSTRUCTIONS["ex2"].residual_domain
-    for t in rng.uniform(lo, hi, size=polar_samples):
-        m = u3.map_jet([t])
-        pd = polar_decompose(m)
-        lhs = grad_norm_sq(m)
-        rhs = float(pd.grad_rho @ pd.grad_rho) + pd.rho**2 * float(
-            np.einsum("ai,ai->", pd.grad_direction, pd.grad_direction)
-        )
-        polar_rels.append(abs(lhs - rhs) / abs(lhs))
-        direction_dots.append(np.abs(pd.direction @ pd.grad_direction).max())
-    max_polar_rel, max_direction_dot = _worst(polar_rels), _worst(direction_dots)
+    _, lo, hi = spec.residual_domain
+    m = u.map_jet(rng.uniform(lo, hi, size=(polar_samples, 1)))
+    pd = polar_decompose(m)
+    lhs = grad_norm_sq(m)
+    rhs = np.vecdot(pd.grad_rho, pd.grad_rho) + pd.rho**2 * np.einsum(
+        "...ai,...ai->...", pd.grad_direction, pd.grad_direction
+    )
+    max_polar_rel = _worst(np.abs(lhs - rhs) / np.abs(lhs))
+    max_direction_dot = _worst(np.abs(np.vecmat(pd.direction, pd.grad_direction)).max(axis=-1))
     polar = {
         "samples": polar_samples,
         "max_relative_error": max_polar_rel,
@@ -490,6 +481,8 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
                 raise EvaluationError(f"property {name}: {key} is {value!r}, not finite")
     overall = all(p.stats["pass"] for p in properties.values())
     return CheckReport(cfg, sb, overall, properties=properties)
+
+
 def run_scenario(cfg: ScenarioConfig) -> CheckReport:
     """Run one scenario; deterministic for a fixed config (incl. seed)."""
     errors = validate_config(cfg)

@@ -20,6 +20,7 @@ from inflap.maps import (
     ScalarProfileMap,
     TrigQuadMap,
     finite_difference_map_jet,
+    polar_decompose,
 )
 from inflap.profiles import ArcComplement, BumpW1, BumpZ1, GaussianRho, PolarPhase, choose_M
 
@@ -63,8 +64,8 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def _assert_rows_match(batch, rows):
-    for field in ("value", "jacobian", "hessian"):
+def _assert_rows_match(batch, rows, fields=("value", "jacobian", "hessian")):
+    for field in fields:
         np.testing.assert_array_equal(
             _bits(getattr(batch, field)), _bits(np.concatenate([getattr(r, field) for r in rows]))
         )
@@ -80,6 +81,10 @@ def test_batch_equals_batches_of_one(maps, name):
     _assert_rows_match(u.map_jet(pts), [u.map_jet(p) for p in one])
     _assert_rows_match(finite_difference_map_jet(u, pts, h=1e-4),
                        [finite_difference_map_jet(u, p, h=1e-4) for p in one])
+    if name.startswith("polar"):
+        _assert_rows_match(polar_decompose(u.map_jet(pts)),
+                           [polar_decompose(u.map_jet(p)) for p in one],
+                           ("rho", "grad_rho", "direction", "grad_direction"))
 
 
 def test_single_point_is_the_unbatched_row(maps):

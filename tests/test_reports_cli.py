@@ -180,6 +180,17 @@ class TestDeterminism:
         stat = lambda r: r.properties["perpendicularity"].stats["max_relative_dot"]  # noqa: E731
         assert stat(a) != stat(c)
 
+    def test_scenario_alone_matches_its_report_in_all(self, tmp_path):
+        def reports(name):
+            out = tmp_path / f"{name}.json"
+            assert main([name, "--grid", "201", "--no-timings", "--out", str(out)]) == 0
+            return json.loads(out.read_text())["reports"]
+
+        together = reports("all")
+        assert [r["scenario"] for r in together] == list(SCENARIO_NAMES)
+        for name, report in zip(SCENARIO_NAMES, together):
+            assert dumps_canonical(reports(name)) == dumps_canonical([report])
+
 
 class TestValidation:
     def test_unknown_scenario(self):
