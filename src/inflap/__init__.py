@@ -14,7 +14,6 @@ from .jets import (
     EvaluationError,
     Jet2,
     JetDomainError,
-    fd_jet,
     jet_cos,
     jet_exp,
     jet_lift,
@@ -69,7 +68,6 @@ from .checkers import (
     directional_check,
     hull_check,
     max_principle_check,
-    refine_abscissas,
     residual_certify,
     slab_domain,
 )

@@ -27,7 +27,6 @@ __all__ = [
     "CheckEvaluationError",
     "slab_domain",
     "annulus_domain",
-    "refine_abscissas",
     "ResidualReport",
     "PrincipleVerdict",
     "HullVerdict",
@@ -82,6 +81,8 @@ def slab_domain(
     All slab scenarios are exactly translation invariant in x2..xn, so
     extrema over the section equal extrema over the full slab.  Witness
     abscissas strictly inside (a, b) are injected into the interior grid.
+    Points are abscissa-major: the cross-section copies of each x1 are
+    adjacent, so a profile map evaluates its formulas once per abscissa.
     """
     if not b > a:
         raise ValueError("slab needs a < b")
@@ -112,6 +113,8 @@ def annulus_domain(
 
     For n = 1 this degenerates to the two intervals ±(r_in, r_out) with
     four boundary points; in general both spheres carry equal counts.
+    Points are radius-major: the 2n axis directions of each radius are
+    adjacent, so a radial map evaluates its formulas once per radius.
     """
     if not 0.0 < r_in < r_out:
         raise ValueError("annulus needs 0 < r_in < r_out")
@@ -123,13 +126,6 @@ def annulus_domain(
     interior = (interior_r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     boundary = (np.array([r_in, r_out])[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     return DomainSpec(f"annulus({r_in:g},{r_out:g})", interior, boundary)
-
-
-def refine_abscissas(ts) -> np.ndarray:
-    """Insert exact midpoints: the refined grid contains the coarse one."""
-    ts = np.unique(np.asarray(ts, dtype=float))
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    return np.unique(np.concatenate([ts, mids]))
 
 
 @dataclass

@@ -5,8 +5,7 @@ function of one curve parameter.  Arithmetic on jets propagates derivatives
 by the Leibniz and second-order chain rules, so any expression built from
 ``jet_lift(t)`` yields derivatives of the composite that are exact to
 roundoff.  A jet of an array of parameters evaluates the whole batch in
-Taylor mode, elementwise, with the bits each float gets.  ``fd_jet`` is the
-independent central-difference oracle used to cross-check jet arithmetic.
+Taylor mode, elementwise, with the bits each float gets.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "jet_sin",
     "jet_cos",
     "jet_sqrt",
-    "fd_jet",
 ]
 
 
@@ -152,16 +150,3 @@ def jet_sqrt(j: Jet2) -> Jet2:
         raise JetDomainError(f"sqrt of non-positive jet value {first_where(bad, j.val)!r}")
     s = np.sqrt(j.val)
     return j.chain(s, 0.5 / s, -0.25 / (s * j.val))
-
-
-def fd_jet(f, t: float, h: float = 1e-4) -> Jet2:
-    """Central-difference jet of a scalar function: the oracle path.
-
-    d1 = (f(t+h) - f(t-h)) / 2h,  d2 = (f(t+h) - 2 f(t) + f(t-h)) / h².
-    """
-    if h <= 0.0:
-        raise ValueError("fd step must be positive")
-    fp = f(t + h)
-    fm = f(t - h)
-    f0 = f(t)
-    return Jet2(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))

@@ -9,6 +9,15 @@ Jet2, as the profiles do: on an array it gives the map's values, on the
 identity jet the univariate jets from which the multivariate jacobians and
 hessians are assembled by the chain rule.  Planar constructions embed into
 higher target dimension by zero padding, which preserves every identity.
+
+The formulas are elementwise in the variable, so each run of adjacent,
+bit-identical entries of it is evaluated once and the results are gathered
+back to every point.  The domains order their points so that the copies of
+one variable are adjacent: ``slab_domain`` abscissa-major (the 3^(n-1)
+cross-section copies of each x1) and ``annulus_domain`` radius-major (the
+2n axis directions of each |x|); the finite-difference shifts along the
+invariant axes keep that order.  A batch with no adjacent repeats is
+evaluated as it is.
 """
 
 from __future__ import annotations
@@ -93,6 +102,24 @@ class VectorMap:
         return self.map_jet(x).value
 
 
+def _runs(s):
+    """The first entry of each run of adjacent bit-identical entries of s,
+    and the index that gathers them back to the shape of s; s itself and
+    None when no entry repeats its neighbour.  The int64 view keeps 0.0 and
+    -0.0 apart."""
+    flat = np.ravel(s)
+    bits = flat.view(np.int64)
+    starts = np.concatenate([[True], bits[1:] != bits[:-1]])
+    if starts.all():
+        return s, None
+    return flat[starts], (np.cumsum(starts) - 1).reshape(np.shape(s))
+
+
+def _spread(c, inv):
+    """Results on the runs of ``_runs`` back on every entry."""
+    return c if inv is None else c[inv]
+
+
 class _ProfileMap(VectorMap):
     """A map whose components are profile formulas in one scalar variable.
 
@@ -101,6 +128,8 @@ class _ProfileMap(VectorMap):
     gives s with its gradient and hessian in x, from which ``map_jet``
     assembles jacobians and hessians by the chain rule; here s is the
     first coordinate.  Target components past the formulas are zero padding.
+    The formulas run once per run of equal adjacent values of s; s, its
+    derivatives and the chain rule stay per point.
     """
 
     def _components(self, s):
@@ -111,23 +140,26 @@ class _ProfileMap(VectorMap):
 
     def value(self, x) -> np.ndarray:
         s = self._variable(x)[0]
+        u, inv = _runs(s)
         out = np.zeros(s.shape + (self.N,))
-        for a, v in enumerate(self._components(s)):
-            out[..., a] = v
+        for a, v in enumerate(self._components(u)):
+            out[..., a] = _spread(v, inv)
         return out
 
     def map_jet(self, x) -> MapJet:
         s, ds, dds = self._variable(x)
-        jets = self._components(jet_lift(s))  # before the outputs: a lower peak
+        u, inv = _runs(s)
+        jets = self._components(jet_lift(u))  # before the outputs: a lower peak
         value = np.zeros(s.shape + (self.N,))
         jac = np.zeros(s.shape + (self.N, self.n))
         hess = np.zeros(s.shape + (self.N, self.n, self.n))
         outer = ds[..., :, None] * ds[..., None, :]
         for a, j in enumerate(jets):
-            d1 = np.asarray(j.d1)[..., None]
-            value[..., a] = j.val
+            d1 = np.asarray(_spread(j.d1, inv))[..., None]
+            value[..., a] = _spread(j.val, inv)
             jac[..., a, :] = d1 * ds
-            hess[..., a, :, :] = np.asarray(j.d2)[..., None, None] * outer + d1[..., None] * dds
+            hess[..., a, :, :] = (np.asarray(_spread(j.d2, inv))[..., None, None] * outer
+                                  + d1[..., None] * dds)
         return MapJet(value, jac, hess)
 
 

@@ -1,8 +1,9 @@
-"""Reference maps and domains that only the tests use."""
+"""Reference maps, domains and oracles that only the tests use."""
 
 import numpy as np
 
 from inflap.checkers import DomainSpec
+from inflap.jets import Jet2
 from inflap.maps import TrigQuadMap
 
 
@@ -31,3 +32,24 @@ def box_domain(intervals, grid_points: int = 11) -> DomainSpec:
         on_face |= (grid[:, i] == lo) | (grid[:, i] == hi)
     label = "box(" + ",".join(f"[{lo:g},{hi:g}]" for lo, hi in intervals) + ")"
     return DomainSpec(label, grid[~on_face], grid[on_face])
+
+
+def refine_abscissas(ts) -> np.ndarray:
+    """Insert exact midpoints: the refined grid contains the coarse one."""
+    ts = np.unique(np.asarray(ts, dtype=float))
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    return np.unique(np.concatenate([ts, mids]))
+
+
+def fd_jet(f, t: float, h: float = 1e-4) -> Jet2:
+    """Central-difference jet of a scalar function: the oracle that
+    cross-checks jet arithmetic.
+
+    d1 = (f(t+h) - f(t-h)) / 2h,  d2 = (f(t+h) - 2 f(t) + f(t-h)) / h².
+    """
+    if h <= 0.0:
+        raise ValueError("fd step must be positive")
+    fp = f(t + h)
+    fm = f(t - h)
+    f0 = f(t)
+    return Jet2(f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h))

@@ -11,11 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from inflap.checkers import max_principle_check, refine_abscissas, residual_certify, slab_domain
+from inflap.checkers import max_principle_check, residual_certify, slab_domain
 from inflap.maps import CurveMap, PolarSpiralMap
 from inflap.profiles import ArcComplement, BumpW1, GaussianRho, PolarPhase, choose_M
 from inflap.reports import emit_report, parse_report
 from inflap.scenarios import ScenarioConfig, run_scenario
+
+from helpers import refine_abscissas
 
 INV_E = 0.36787944117144233          # exp(-1)
 ONE_MINUS_INV_E = 0.6321205588285577  # 1 - exp(-1)

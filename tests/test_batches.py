@@ -1,5 +1,8 @@
 """Batched evaluation gives every point the bits it gets on its own, and a
-failing batch names its first failing point in domain order."""
+failing batch names its first failing point in domain order.  Runs of equal
+scalar variables, as the domains emit them, are evaluated once."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from inflap.checkers import (
     directional_check,
     hull_check,
     residual_certify,
+    slab_domain,
 )
 from inflap.maps import (
     CurveMap,
@@ -60,6 +64,23 @@ def _points(name, n):
     return pts
 
 
+def _repeat_points(name, n):
+    """Slab-style runs of each first coordinate over the cross-section
+    copies, with an adjacent 0.0/-0.0 pair and repeated seams, then
+    annulus-style axis directions of each radius."""
+    first = np.array([-2.0, -2.0, -1.0, 0.0, -0.0, 0.0, 0.0, 1e-12, 2.0, 2.0, 2.0, 2.5])
+    if name.startswith("polar"):
+        first = np.clip(first, -1.9, 1.9)
+    cross = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=n - 1)), dtype=float)
+    slab = np.column_stack([np.repeat(first, len(cross)), np.tile(cross, (len(first), 1))])
+    dirs = np.concatenate([np.eye(n), -np.eye(n)])
+    annulus = (np.array([1.5, 1.5, 1.75])[:, None, None] * dirs).reshape(-1, n)
+    pts = np.concatenate([slab, annulus])
+    if name.startswith("radial"):
+        pts = pts[np.linalg.norm(pts, axis=1) > 0.0]
+    return pts
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
@@ -75,16 +96,17 @@ def _assert_rows_match(batch, rows, fields=("value", "jacobian", "hessian")):
                                   ("curve", "radial", "polar", "scalar", "potential", "trig")])
 def test_batch_equals_batches_of_one(maps, name):
     u = maps[name]
-    pts = _points(name, u.n)
-    one = [pts[i:i + 1] for i in range(len(pts))]
-    np.testing.assert_array_equal(_bits(u.value(pts)), _bits(np.concatenate([u.value(p) for p in one])))
-    _assert_rows_match(u.map_jet(pts), [u.map_jet(p) for p in one])
-    _assert_rows_match(finite_difference_map_jet(u, pts, h=1e-4),
-                       [finite_difference_map_jet(u, p, h=1e-4) for p in one])
-    if name.startswith("polar"):
-        _assert_rows_match(polar_decompose(u.map_jet(pts)),
-                           [polar_decompose(u.map_jet(p)) for p in one],
-                           ("rho", "grad_rho", "direction", "grad_direction"))
+    for pts in (_points(name, u.n), _repeat_points(name, u.n)):
+        one = [pts[i:i + 1] for i in range(len(pts))]
+        np.testing.assert_array_equal(_bits(u.value(pts)),
+                                      _bits(np.concatenate([u.value(p) for p in one])))
+        _assert_rows_match(u.map_jet(pts), [u.map_jet(p) for p in one])
+        _assert_rows_match(finite_difference_map_jet(u, pts, h=1e-4),
+                           [finite_difference_map_jet(u, p, h=1e-4) for p in one])
+        if name.startswith("polar"):
+            _assert_rows_match(polar_decompose(u.map_jet(pts)),
+                               [polar_decompose(u.map_jet(p)) for p in one],
+                               ("rho", "grad_rho", "direction", "grad_direction"))
 
 
 def test_single_point_is_the_unbatched_row(maps):
@@ -97,6 +119,16 @@ def test_single_point_is_the_unbatched_row(maps):
         np.testing.assert_array_equal(_bits(m.hessian), _bits(batch.hessian[i]))
 
 
+CHECKS = [
+    lambda u, d: residual_certify(u, "tangential", d, 1.0),
+    lambda u, d: residual_certify(u, "tangential", d, 1.0, jet_source="fd"),
+    lambda u, d: directional_check(u, [1.0, 0.0], d),
+    lambda u, d: conservation_check(u, d, 1.0),
+    lambda u, d: hull_check(u, d),
+]
+CHECK_IDS = ["residual_analytic", "residual_fd", "principle", "conservation", "hull"]
+
+
 class TestFirstFailure:
     # the phase is guarded to |t| <= 2: 2.5 and -2.7 fail, 2.5 first in domain order
     INTERIOR = np.array([[0.5], [2.5], [1.0], [-2.7], [0.0]])
@@ -107,19 +139,29 @@ class TestFirstFailure:
     def polar(self, maps):
         return maps["polar_n1"]
 
-    @pytest.mark.parametrize("check", [
-        lambda u, d: residual_certify(u, "tangential", d, 1.0),
-        lambda u, d: residual_certify(u, "tangential", d, 1.0, jet_source="fd"),
-        lambda u, d: directional_check(u, [1.0, 0.0], d),
-        lambda u, d: conservation_check(u, d, 1.0),
-        lambda u, d: hull_check(u, d),
-    ], ids=["residual_analytic", "residual_fd", "principle", "conservation", "hull"])
+    @pytest.mark.parametrize("check", CHECKS, ids=CHECK_IDS)
     def test_first_failing_point_and_message(self, polar, check):
         d = DomainSpec("slab", self.INTERIOR, np.array([[-1.0], [1.0]]))
         with pytest.raises(CheckEvaluationError) as exc:
             check(polar, d)
         assert str(exc.value) == self.MESSAGE
         np.testing.assert_array_equal(exc.value.point, [2.5])
+
+    @pytest.mark.parametrize("check", CHECKS, ids=CHECK_IDS)
+    def test_failure_repeated_across_copies(self, maps, check):
+        # at n = 3 each abscissa has 9 adjacent cross-section copies; in the
+        # slab's order -2.7 comes first, and 2.5 fails as well
+        u = maps["polar_n3"]
+        interior = slab_domain(-3.0, 3.0, n=3, abscissas=[0.5, 2.5, 1.0, -2.7, 0.0]).interior
+        boundary = slab_domain(-1.0, 1.0, n=3, grid_points=2).boundary
+        with pytest.raises(CheckEvaluationError) as exc:
+            check(u, DomainSpec("slab", interior, boundary))
+        with pytest.raises(CheckEvaluationError) as alone:
+            check(u, DomainSpec("slab", interior[:1], boundary))
+        assert str(exc.value) == str(alone.value) == (
+            "evaluation failed at [-2.7, -0.5, -0.5]: phase evaluation at t=-2.7 outside the "
+            "guarded range |t| <= 2.0")
+        np.testing.assert_array_equal(exc.value.point, [-2.7, -0.5, -0.5])
 
     def test_radial_origin(self, maps):
         u = maps["radial_n3"]
@@ -129,3 +171,39 @@ class TestFirstFailure:
             residual_certify(u, "tangential", d, 1.0)
         assert str(exc.value) == ("evaluation failed at [0.0, 0.0, 0.0]: "
                                   "radial map is undefined at the origin")
+
+
+def _record_arguments(profile):
+    """Wrap the profile's value and d1 so that each call records the
+    parameter array it gets (the values of a jet)."""
+    args = []
+    for name in ("value", "d1"):
+        def recorded(t, method=getattr(profile, name)):
+            args.append(getattr(t, "val", t))
+            return method(t)
+        setattr(profile, name, recorded)
+    return args
+
+
+def test_copies_of_one_variable_are_evaluated_once(maps):
+    w1 = BumpW1()
+    u = CurveMap(w1, ArcComplement(w1, maps["curve_n3"].second.M, cells=512), n=3, N=2)
+    d = slab_domain(-3.0, 3.0, n=3, grid_points=201)
+    pts = np.concatenate([d.interior, d.boundary])
+    args = _record_arguments(w1)
+    u.value(pts)
+    u.map_jet(pts)
+    assert args and {np.size(a) for a in args} == {len(pts) // 9}
+
+
+def test_a_batch_without_repeats_is_evaluated_as_it_is():
+    w1 = BumpW1()
+    u = ScalarProfileMap(w1, n=1)
+    d = slab_domain(-3.0, 3.0, n=1, grid_points=201)
+    pts = np.concatenate([d.interior, d.boundary])
+    args = _record_arguments(w1)
+    u.value(pts)
+    u.map_jet(pts)
+    assert len(args) == 2
+    for a in args:
+        assert np.size(a) == len(pts) and np.shares_memory(a, pts)

@@ -11,7 +11,6 @@ from inflap.checkers import (
     directional_check,
     hull_check,
     max_principle_check,
-    refine_abscissas,
     residual_certify,
     slab_domain,
 )
@@ -34,7 +33,7 @@ from inflap.profiles import (
     choose_M,
 )
 
-from helpers import affine_map, box_domain
+from helpers import affine_map, box_domain, refine_abscissas
 
 INV_E = math.exp(-1.0)
 WITNESSES = (0.0, 1.0, -1.0, 2.0)

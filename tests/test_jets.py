@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from inflap.jets import (
     Jet2,
     JetDomainError,
-    fd_jet,
     jet_cos,
     jet_exp,
     jet_lift,
     jet_sin,
     jet_sqrt,
 )
+
+from helpers import fd_jet
 
 
 def test_lift_is_identity_jet():

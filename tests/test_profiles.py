@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inflap.jets import Jet2, JetDomainError, fd_jet, jet_lift
+from inflap.jets import Jet2, JetDomainError, jet_lift
 from inflap.profiles import (
     ArcComplement,
     BumpW1,
@@ -16,6 +16,8 @@ from inflap.profiles import (
     choose_M,
     estimate_sup_abs_d1,
 )
+
+from helpers import fd_jet
 
 INV_E = math.exp(-1.0)
 SQRT_2_OVER_E = 0.8577638849607068  # closed form sqrt(2/e), peak of |rho'|
