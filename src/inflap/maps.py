@@ -18,10 +18,19 @@ cross-section copies of each x1) and ``annulus_domain`` radius-major (the
 2n axis directions of each |x|); the finite-difference shifts along the
 invariant axes keep that order.  A batch with no adjacent repeats is
 evaluated as it is.
+
+The finite-difference oracle shares the formulas across its stencil when
+the unshifted variable has adjacent repeats, as on slabs at n >= 2 and on
+annuli: it collapses each shifted batch's variable to its runs, evaluates
+the formulas once on their distinct values, and its ``value`` calls look
+their runs up there.  On an evaluation error it falls back to evaluating
+each shifted batch, so the error is the one the stencil's order meets
+first.  No cache outlives a call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -135,14 +144,19 @@ class _ProfileMap(VectorMap):
     def _components(self, s):
         raise NotImplementedError
 
-    def _variable(self, x):
-        return self._as_point(x)[..., 0], np.eye(self.n)[0], np.zeros((self.n, self.n))
+    def _scalar(self, x):
+        return self._as_point(x)[..., 0]
 
-    def value(self, x) -> np.ndarray:
-        s = self._variable(x)[0]
+    def _variable(self, x):
+        return self._scalar(x), np.eye(self.n)[0], np.zeros((self.n, self.n))
+
+    def value(self, x, *, components=None) -> np.ndarray:
+        """The map's values; ``components`` (default ``self._components``)
+        gives the formulas on the runs of the variable."""
+        s = self._scalar(x)
         u, inv = _runs(s)
         out = np.zeros(s.shape + (self.N,))
-        for a, v in enumerate(self._components(u)):
+        for a, v in enumerate((components or self._components)(u)):
             out[..., a] = _spread(v, inv)
         return out
 
@@ -184,11 +198,15 @@ class CurveMap(_ProfileMap):
 class RadialCurveMap(CurveMap):
     """Radial composition x -> (p(|x|), q(|x|), 0, ...), undefined at 0."""
 
-    def _variable(self, x):
-        p = self._as_point(x)
-        r = row_norm(p)
+    def _scalar(self, x):
+        r = row_norm(self._as_point(x))
         if np.any(r == 0.0):
             raise MapDomainError("radial map is undefined at the origin")
+        return r
+
+    def _variable(self, x):
+        p = self._as_point(x)
+        r = self._scalar(p)
         unit = p / r[..., None]
         angular = (np.eye(self.n) - unit[..., :, None] * unit[..., None, :]) / r[..., None, None]
         return r, unit, angular
@@ -326,6 +344,47 @@ def polar_decompose(m: MapJet) -> PolarDecomposition:
     return PolarDecomposition(rho, grad_rho, direction, grad_direction)
 
 
+def _stencil(x, n: int, h: float):
+    """The shifted batches of the FD oracle, in its order: x, then x + h e_i
+    and x - h e_i for each i, then x ± h e_i ± h e_j for each i < j."""
+    e = np.eye(n) * h
+    yield x
+    for i in range(n):
+        yield x + e[i]
+        yield x - e[i]
+    for i, j in itertools.combinations(range(n), 2):
+        yield x + e[i] + e[j]
+        yield x + e[i] - e[j]
+        yield x - e[i] + e[j]
+        yield x - e[i] - e[j]
+
+
+def _stencil_components(map_obj: VectorMap, x, h: float):
+    """The profile formulas evaluated once on every distinct variable of the
+    stencil, as a ``components`` lookup for ``_ProfileMap.value``.  None,
+    for the per-shift path, when the map is no profile map, when the
+    unshifted variable has no adjacent repeats, or when an evaluation
+    fails: the per-shift path then raises the stencil's first error."""
+    if not isinstance(map_obj, _ProfileMap):
+        return None
+    try:
+        shifts = (_runs(map_obj._scalar(p)) for p in _stencil(x, map_obj.n, h))
+        u, inv = next(shifts)
+        if inv is None:
+            return None
+        runs = np.concatenate([u, *(np.ravel(v) for v, _ in shifts)])
+        bits = np.unique(runs.view(np.int64))
+        table = map_obj._components(bits.view(float))
+    except EvaluationError:
+        return None
+
+    def lookup(s):
+        at = np.searchsorted(bits, np.asarray(s).view(np.int64))
+        return tuple(c[at] for c in table)
+
+    return lookup
+
+
 def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
     """Central-difference MapJet oracle, independent of the analytic jets.
 
@@ -333,24 +392,30 @@ def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
     three-point second difference and mixed entries from the four-point
     cross stencil, symmetrized by construction; one ``value`` call on the
     shifted batch per stencil offset, 1 + 2n + 4·C(n, 2) in all.
+
+    A profile map whose unshifted variable has adjacent repeats (slabs at
+    n >= 2, annuli) shares its formulas across the stencil: they run once
+    on the distinct shifted variables, and each ``value`` call looks its
+    runs up there.  On an evaluation error, or with no repeats, every
+    ``value`` call evaluates its own batch.  Nothing outlives the call.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = map_obj.n
-    e = np.eye(n) * h
-    v0 = map_obj.value(x)
+    components = _stencil_components(map_obj, x, h)
+    shared = {} if components is None else {"components": components}
+    values = map(functools.partial(map_obj.value, **shared), _stencil(x, n, h))
+    v0 = next(values)
     jac = np.empty(v0.shape + (n,))
     hess = np.empty(v0.shape + (n, n))
     for i in range(n):
-        plus, minus = map_obj.value(x + e[i]), map_obj.value(x - e[i])
+        plus, minus = next(values), next(values)
         jac[..., i] = (plus - minus) / (2.0 * h)
         hess[..., i, i] = (plus - 2.0 * v0 + minus) / (h * h)
     for i, j in itertools.combinations(range(n), 2):
+        # (x + e_i + e_j) - (x + e_i - e_j) - (x - e_i + e_j) + (x - e_i - e_j), left to right
         hess[..., i, j] = hess[..., j, i] = (
-            map_obj.value(x + e[i] + e[j])
-            - map_obj.value(x + e[i] - e[j])
-            - map_obj.value(x - e[i] + e[j])
-            + map_obj.value(x - e[i] - e[j])
+            next(values) - next(values) - next(values) + next(values)
         ) / (4.0 * h * h)
     return MapJet(v0, jac, hess)

@@ -1,6 +1,7 @@
 """Batched evaluation gives every point the bits it gets on its own, and a
 failing batch names its first failing point in domain order.  Runs of equal
-scalar variables, as the domains emit them, are evaluated once."""
+scalar variables, as the domains emit them, are evaluated once, and the FD
+oracle evaluates each distinct shifted variable of its stencil once."""
 
 import itertools
 
@@ -26,7 +27,15 @@ from inflap.maps import (
     finite_difference_map_jet,
     polar_decompose,
 )
-from inflap.profiles import ArcComplement, BumpW1, BumpZ1, GaussianRho, PolarPhase, choose_M
+from inflap.profiles import (
+    ArcComplement,
+    BumpW1,
+    BumpZ1,
+    GaussianRho,
+    PhaseRangeError,
+    PolarPhase,
+    choose_M,
+)
 
 # seams, branch switches, extrema and table edges of the profiles
 SPECIAL = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 1e-12, -1e-12, 2.0 - 1e-12, 1.5)
@@ -43,7 +52,7 @@ def maps():
     phase = PolarPhase(m_rho, t_max=2.0, cells=512, rho=rho)
     rng = np.random.default_rng(7)
     out = {}
-    for n in (1, 3):
+    for n in (1, 2, 3, 4):
         out[f"curve_n{n}"] = CurveMap(w1, w2, n=n, N=3)
         out[f"radial_n{n}"] = RadialCurveMap(z1, z2, n=n, N=2)
         out[f"polar_n{n}"] = PolarSpiralMap(rho, phase, n=n, N=2)
@@ -67,11 +76,13 @@ def _points(name, n):
 def _repeat_points(name, n):
     """Slab-style runs of each first coordinate over the cross-section
     copies, with an adjacent 0.0/-0.0 pair and repeated seams, then
-    annulus-style axis directions of each radius."""
+    annulus-style axis directions of each radius.  At most 9 copies per
+    abscissa, as every point is also evaluated on its own."""
     first = np.array([-2.0, -2.0, -1.0, 0.0, -0.0, 0.0, 0.0, 1e-12, 2.0, 2.0, 2.0, 2.5])
     if name.startswith("polar"):
         first = np.clip(first, -1.9, 1.9)
     cross = np.array(list(itertools.product((-0.5, 0.0, 0.5), repeat=n - 1)), dtype=float)
+    cross = cross[::max(1, len(cross) // 9)]
     slab = np.column_stack([np.repeat(first, len(cross)), np.tile(cross, (len(first), 1))])
     dirs = np.concatenate([np.eye(n), -np.eye(n)])
     annulus = (np.array([1.5, 1.5, 1.75])[:, None, None] * dirs).reshape(-1, n)
@@ -92,7 +103,7 @@ def _assert_rows_match(batch, rows, fields=("value", "jacobian", "hessian")):
         )
 
 
-@pytest.mark.parametrize("name", [f"{k}_n{n}" for n in (1, 3) for k in
+@pytest.mark.parametrize("name", [f"{k}_n{n}" for n in (1, 2, 3, 4) for k in
                                   ("curve", "radial", "polar", "scalar", "potential", "trig")])
 def test_batch_equals_batches_of_one(maps, name):
     u = maps[name]
@@ -163,6 +174,31 @@ class TestFirstFailure:
             "guarded range |t| <= 2.0")
         np.testing.assert_array_equal(exc.value.point, [-2.7, -0.5, -0.5])
 
+    @pytest.mark.parametrize("t", [2.5, -2.7])
+    def test_fd_oracle_names_the_unshifted_value(self, maps, t):
+        # every value of this stencil fails; the oracle names the one its
+        # first shifted batch, the unshifted points, raises
+        with pytest.raises(PhaseRangeError) as exc:
+            finite_difference_map_jet(maps["polar_n2"], [[t, -0.5], [t, 0.5]], h=1e-4)
+        assert str(exc.value) == f"phase evaluation at t={t} outside the guarded range |t| <= 2.0"
+
+    def test_fd_residual_failure_after_shared_copies(self, maps):
+        # in slab order 0.5 and 1.0 come first, so every failing prefix holds
+        # repeated variables before the first copy of 2.5
+        u = maps["polar_n3"]
+        interior = slab_domain(-3.0, 3.0, n=3, abscissas=[0.5, 2.5, 1.0]).interior
+        boundary = slab_domain(-1.0, 1.0, n=3, grid_points=2).boundary
+        check = CHECKS[CHECK_IDS.index("residual_fd")]
+        with pytest.raises(CheckEvaluationError) as exc:
+            check(u, DomainSpec("slab", interior, boundary))
+        first = interior[np.flatnonzero(interior[:, 0] == 2.5)[0]]
+        with pytest.raises(CheckEvaluationError) as alone:
+            check(u, DomainSpec("slab", first[None], boundary))
+        assert str(exc.value) == str(alone.value) == (
+            "evaluation failed at [2.5, -0.5, -0.5]: phase evaluation at t=2.5 outside the "
+            "guarded range |t| <= 2.0")
+        np.testing.assert_array_equal(exc.value.point, [2.5, -0.5, -0.5])
+
     def test_radial_origin(self, maps):
         u = maps["radial_n3"]
         interior = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -207,3 +243,47 @@ def test_a_batch_without_repeats_is_evaluated_as_it_is():
     assert len(args) == 2
     for a in args:
         assert np.size(a) == len(pts) and np.shares_memory(a, pts)
+
+
+def _count_calls(u):
+    """Record the points of each call of the map's ``value``."""
+    calls = []
+
+    def counted(x, method=u.value, **kwargs):
+        calls.append(x)
+        return method(x, **kwargs)
+
+    u.value = counted
+    return calls
+
+
+def test_fd_oracle_evaluates_each_distinct_shifted_variable_once(maps):
+    w1 = BumpW1()
+    u = CurveMap(w1, ArcComplement(w1, maps["curve_n3"].second.M, cells=512), n=3, N=2)
+    d = slab_domain(-3.0, 3.0, n=3, grid_points=201)
+    x1, h = d.interior[:, 0], 1e-4
+    # the shifts along x2 and x3 add 0.0 to x1
+    shifted = np.concatenate([x1, x1 + h, x1 - h, x1 + 0.0])
+    distinct = np.unique(shifted.view(np.int64))
+    calls = _count_calls(u)
+    args = _record_arguments(w1)
+    finite_difference_map_jet(u, d.interior, h=h)
+    assert len(calls) == 1 + 2 * 3 + 4 * 3
+    # first.value(s) comes first; the complement's panel nodes have its size
+    np.testing.assert_array_equal(np.sort(args[0].view(np.int64)), distinct)
+    assert {np.size(a) for a in args} == {len(distinct)}
+    # the profile calls of the whole oracle are those of one formula pass
+    in_oracle = len(args)
+    u._components(distinct.view(float))
+    assert len(args) == 2 * in_oracle
+
+
+def test_fd_oracle_without_repeats_evaluates_every_shift():
+    w1 = BumpW1()
+    u = ScalarProfileMap(w1, n=1)
+    pts = slab_domain(-3.0, 3.0, n=1, grid_points=201).interior
+    calls = _count_calls(u)
+    args = _record_arguments(w1)
+    finite_difference_map_jet(u, pts, h=1e-4)
+    assert len(calls) == 3
+    assert [np.size(a) for a in args] == [len(pts)] * 3

@@ -1,9 +1,12 @@
-"""The benchmark workloads reproduce their frozen reference reports exactly.
+"""Frozen ``--seed 0 --no-timings`` reports are reproduced exactly.
 
-``benchmarks/reference/<workload>.json`` was written from the per-point
-evaluation path.  Every leaf of a fresh ``--seed 0 --no-timings`` report
-must equal the reference leaf, with no tolerance; the reference also
-carries a ``config.out_path`` of null, which the report no longer echoes.
+``benchmarks/reference/<workload>.json`` holds the benchmark workloads,
+written from the per-point evaluation path; it also carries a
+``config.out_path`` of null, which the report no longer echoes.
+``tests/reference/`` holds the four constructions at n = 3 and n = 4,
+written before the finite-difference oracle shared its profile formulas
+across the stencil.  Every leaf of a fresh report must equal the
+reference leaf, with no tolerance.
 """
 
 import json
@@ -15,10 +18,15 @@ from inflap.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-WORKLOADS = {
-    "all_default": (["all"], 317),
-    "vector_n3": (["ex1a", "ex1b", "--n", "3"], 194),
-    "scalar_fine": (["ex3", "--grid", "50001"], 60),
+#: reference name -> (file, verify arguments before --seed, leaf count)
+REFERENCES = {
+    "all_default": ("benchmarks/reference/all_default.json", ["all"], 317),
+    "vector_n3": ("benchmarks/reference/vector_n3.json", ["ex1a", "ex1b", "--n", "3"], 194),
+    "scalar_fine": ("benchmarks/reference/scalar_fine.json", ["ex3", "--grid", "50001"], 60),
+    "fd_n3_grid301": ("tests/reference/fd_n3_grid301.json",
+                      ["ex1a", "ex1b", "ex2", "ex3", "--n", "3", "--grid", "301"], 325),
+    "fd_n4_grid201": ("tests/reference/fd_n4_grid201.json",
+                      ["ex1a", "ex1b", "ex2", "ex3", "--n", "4", "--grid", "201"], 354),
 }
 
 
@@ -33,15 +41,15 @@ def _leaves(obj, path=()):
         yield path, obj
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_report_leaves_equal_reference(workload, tmp_path):
-    args, count = WORKLOADS[workload]
-    with open(os.path.join(ROOT, "benchmarks", "reference", f"{workload}.json")) as fh:
-        reference = dict(_leaves(json.load(fh)))
-    assert len(reference) == count
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+def test_report_leaves_equal_reference(reference, tmp_path):
+    path, args, count = REFERENCES[reference]
+    with open(os.path.join(ROOT, path)) as fh:
+        expected = dict(_leaves(json.load(fh)))
+    assert len(expected) == count
     out = tmp_path / "report.json"
     main([*args, "--seed", "0", "--no-timings", "--out", str(out)])
     report = dict(_leaves(json.loads(out.read_text())))
-    dropped = {k for k in reference if k[-2:] == ("config", "out_path")}
-    assert all(reference[k] is None for k in dropped)
-    assert report == {k: v for k, v in reference.items() if k not in dropped}
+    dropped = {k for k in expected if k[-2:] == ("config", "out_path")}
+    assert all(expected[k] is None for k in dropped)
+    assert report == {k: v for k, v in expected.items() if k not in dropped}
