@@ -69,6 +69,7 @@ from .checkers import (
     hull_check,
     max_principle_check,
     residual_certify,
+    sample,
     slab_domain,
 )
 from .scenarios import (

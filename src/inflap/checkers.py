@@ -2,11 +2,11 @@
 principle margins, convex-hull containment, and gradient-norm conservation.
 
 Domains are finite sample sets (interior strictly inside, boundary exactly
-on the boundary equation).  Every check samples its field on the whole
-(m, n) array of domain points at once through ``_sample`` and reduces with
+on the boundary equation).  ``sample`` evaluates a field on all domain
+points at once; every check is a reduction of a sampled field with
 ``argmax``/``argmin`` (the first index wins a tie), so reports are
 deterministic for a given grid.  An evaluation error or a NaN or infinite
-sample aborts with the first offending point in domain order.
+reduced value aborts with the first offending point in domain order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .hull import max_outside_distance
 from .jets import EvaluationError
-from .maps import VectorMap, finite_difference_map_jet
 from .operators import grad_norm_sq, perturbed_scalar, row_norm, tangential
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "PrincipleVerdict",
     "HullVerdict",
     "ConservationReport",
+    "sample",
     "residual_certify",
     "max_principle_check",
     "directional_check",
@@ -53,6 +53,10 @@ class DomainSpec:
     label: str
     interior: np.ndarray  # (m, n), strictly inside
     boundary: np.ndarray  # (k, n), exactly on the boundary
+
+    def points(self) -> np.ndarray:
+        """Interior then boundary samples, the order of every sampled field."""
+        return np.concatenate([self.interior, self.boundary])
 
 
 def _with_witnesses(values: np.ndarray, witnesses, lo: float, hi: float) -> np.ndarray:
@@ -193,14 +197,15 @@ class ConservationReport:
         return self.tol is None or self.max_dev <= self.tol
 
 
-def _sample(f, points: np.ndarray, width: int | None = None) -> np.ndarray:
-    """f on all points at once, as floats or rows of ``width`` floats.  The
-    one place where an EvaluationError, or a NaN or infinite sample, becomes
-    a CheckEvaluationError naming the first such point in domain order.
-    Evaluation is pointwise, so the shortest failing prefix of the points
-    ends at that point and fails with the error the point raises alone."""
+def sample(f, domain: DomainSpec):
+    """f on all points of the domain at once, interior then boundary; returns
+    what f returns.  An EvaluationError becomes a CheckEvaluationError
+    naming the first failing point in domain order.  Evaluation is
+    pointwise, so the shortest failing prefix of the points ends at that
+    point and fails with the error the point raises alone."""
+    points = domain.points()
     try:
-        values = np.asarray(f(points), dtype=float)
+        return f(points)
     except EvaluationError as exc:
         lo, hi = 0, len(points)  # f fails on points[:hi] with exc, not on points[:lo]
         while hi - lo > 1:
@@ -211,64 +216,53 @@ def _sample(f, points: np.ndarray, width: int | None = None) -> np.ndarray:
             except EvaluationError as prefix_exc:
                 hi, exc = mid, prefix_exc
         raise CheckEvaluationError(points[hi - 1], str(exc)) from exc
-    bad = np.flatnonzero(~np.isfinite(values))
+
+
+def _finite(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The values, one entry or row per point, unless one is NaN or
+    infinite: a CheckEvaluationError then names the first such point."""
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=tuple(range(1, values.ndim))))
     if bad.size:
-        i = bad[0] // (width or 1)
+        i = bad[0]
         raise CheckEvaluationError(points[i], f"sampled value {values[i]} is not finite")
     return values
 
 
 def _at(values: np.ndarray, points: np.ndarray, pick, empty: float):
-    """The value ``pick`` (argmax or argmin) selects and its point; the
-    first index wins a tie.  No samples give ``empty`` and no point."""
+    """The finite value ``pick`` (argmax or argmin) selects and a copy of its
+    point; the first index wins a tie.  No samples give ``empty`` and no point."""
     if len(values) == 0:
         return empty, None
-    i = pick(values)
-    return float(values[i]), points[i]
-
-
-def _jet_getter(map_obj: VectorMap, jet_source: str, fd_step: float):
-    if jet_source == "analytic":
-        return map_obj.map_jet
-    if jet_source == "fd":
-        return lambda x: finite_difference_map_jet(map_obj, x, h=fd_step)
-    raise ValueError(f"unknown jet source {jet_source!r}")
+    i = pick(_finite(values, points))
+    return float(values[i]), points[i].copy()
 
 
 def residual_certify(
-    map_obj: VectorMap,
-    op: str,
-    domain: DomainSpec,
-    tol: float,
-    jet_source: str = "analytic",
-    fd_step: float = 1e-4,
-    f_map: VectorMap | None = None,
+    jets, op: str, domain: DomainSpec, tol: float, jet_source: str = "analytic"
 ) -> ResidualReport:
     """Sup of the selected residual norm over all domain samples.
 
-    op selects the residual: "tangential" (Euclidean norm of the tangential
-    part) or "perturbed_scalar" (absolute value; needs f_map).  Evaluation
-    domain errors abort with the offending point.
+    jets is the pair (the map's jets, the forcing map's jets or None),
+    sampled on the domain; jet_source names where they came from.  op
+    selects the residual: "tangential" (Euclidean norm of the tangential
+    part) or "perturbed_scalar" (absolute value; needs the forcing jets).
     """
-    if op not in ("tangential", "perturbed_scalar"):
-        raise ValueError(f"unknown operator selector {op!r}")
-    points = np.concatenate([domain.interior, domain.boundary])
-    get_jet = _jet_getter(map_obj, jet_source, fd_step)
+    u_jets, f_jets = jets
     if op == "tangential":
-        residual = lambda x: row_norm(tangential(get_jet(x)))
+        residual = row_norm(tangential(u_jets))
+    elif op == "perturbed_scalar":
+        if f_jets is None:
+            raise ValueError("perturbed_scalar residual needs the forcing map's jets")
+        residual = np.abs(perturbed_scalar(u_jets, f_jets))
     else:
-        if f_map is None:
-            raise ValueError("perturbed_scalar residual needs f_map")
-        get_f_jet = _jet_getter(f_map, jet_source, fd_step)
-        residual = lambda x: np.abs(perturbed_scalar(get_jet(x), get_f_jet(x)))
-    sup, worst = _at(_sample(residual, points), points, np.argmax, 0.0)
-    return ResidualReport(sup, tol, sup <= tol, worst, len(points), jet_source, domain.label)
+        raise ValueError(f"unknown operator selector {op!r}")
+    sup, worst = _at(residual, domain.points(), np.argmax, 0.0)
+    return ResidualReport(sup, tol, sup <= tol, worst, len(residual), jet_source, domain.label)
 
 
-def max_principle_check(field, domain: DomainSpec) -> PrincipleVerdict:
-    """Compare interior extrema of a scalar field against boundary extrema."""
-    inner = _sample(field, domain.interior)
-    outer = _sample(field, domain.boundary)
+def max_principle_check(values: np.ndarray, domain: DomainSpec) -> PrincipleVerdict:
+    """Compare interior extrema of a sampled scalar field against boundary extrema."""
+    inner, outer = values[: len(domain.interior)], values[len(domain.interior) :]
     sup_i, w_sup = _at(inner, domain.interior, np.argmax, -math.inf)
     inf_i, w_inf = _at(inner, domain.interior, np.argmin, math.inf)
     max_b, _ = _at(outer, domain.boundary, np.argmax, -math.inf)
@@ -286,40 +280,34 @@ def max_principle_check(field, domain: DomainSpec) -> PrincipleVerdict:
     )
 
 
-def directional_check(map_obj: VectorMap, xi, domain: DomainSpec) -> PrincipleVerdict:
-    """Maximum/minimum principle check for the projection xi · u."""
+def directional_check(values: np.ndarray, xi, domain: DomainSpec) -> PrincipleVerdict:
+    """Maximum/minimum principle check for the projection xi · u of sampled values."""
     xi = np.asarray(xi, dtype=float)
     if not np.linalg.norm(xi) > 0.0:
         raise ValueError("direction xi must be nonzero")
-    k = len(xi)
-    return max_principle_check(lambda x: np.vecdot(map_obj.value(x)[..., :k], xi), domain)
+    return max_principle_check(np.vecdot(values[..., : len(xi)], xi), domain)
 
 
-def hull_check(map_obj: VectorMap, domain: DomainSpec, hull_tol: float = 1e-9) -> HullVerdict:
+def hull_check(values: np.ndarray, domain: DomainSpec, hull_tol: float = 1e-9) -> HullVerdict:
     """Containment of the interior image in the hull of the boundary image.
 
     The constructions are planar (padded components vanish identically), so
-    the check runs on the first two image coordinates.
+    the check runs on the first two coordinates of the sampled map values.
     """
-    k = len(domain.boundary)
-    if k < 1:
+    if len(domain.boundary) < 1:
         raise ValueError("hull check needs at least one boundary sample")
-    points = np.concatenate([domain.boundary, domain.interior])
-    images = _sample(lambda x: map_obj.value(x)[..., :2], points, width=2)
-    dist, idx = max_outside_distance(images[k:], images[:k])
-    witness = domain.interior[idx] if idx >= 0 else None
-    image = images[k + idx] if idx >= 0 else None
+    m = len(domain.interior)
+    images = _finite(values[..., :2], domain.points())
+    dist, idx = max_outside_distance(images[:m], images[m:])
+    witness = domain.interior[idx].copy() if idx >= 0 else None
+    image = images[idx].copy() if idx >= 0 else None
     return HullVerdict(dist <= hull_tol, dist, witness, image, hull_tol, domain.label)
 
 
 def conservation_check(
-    map_obj: VectorMap,
-    domain: DomainSpec,
-    target_sq: float,
-    tol: float | None = None,
+    jets, domain: DomainSpec, target_sq: float, tol: float | None = None
 ) -> ConservationReport:
-    """Max deviation of |Du|² from its constant target over all samples."""
-    points = np.concatenate([domain.interior, domain.boundary])
-    devs = _sample(lambda x: np.abs(grad_norm_sq(map_obj.map_jet(x)) - target_sq), points)
-    max_dev, worst = _at(devs, points, np.argmax, 0.0)
+    """Max deviation of |Du|² from its constant target over the sampled jets."""
+    devs = np.abs(grad_norm_sq(jets) - target_sq)
+    max_dev, worst = _at(devs, domain.points(), np.argmax, 0.0)
     return ConservationReport(max_dev, target_sq, worst, domain.label, tol)

@@ -66,6 +66,9 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
+            if key.strip() == "scenario":
+                raise ValueError(f"{path}:{lineno}: key 'scenario' is not allowed; "
+                                 "name the scenarios on the command line")
             values[key.strip()] = raw.strip()
     return values
 

@@ -3,16 +3,17 @@
 Each counterexample scenario is a small data entry: the profile its speed
 bound is chosen for, the map it builds, the residual it certifies, its
 domains, its principle and hull checks and the margin it must detect.  One
-runner builds the construction from scratch, certifies that the residual
-vanishes over a dense grid with both the analytic jets and the
-finite-difference oracle, measures the principle/hull margins on the
-scenario domains and applies the pass rule.  The randomized property suite
+runner builds the construction from scratch, samples each of its fields
+once with ``checkers.sample`` (analytic, then finite-difference jets on the
+residual domain; values on each distinct principle or hull domain), reduces
+them with the checks and applies the pass rule.  The randomized property suite
 has its own runner.  Results are the typed records of ``checkers``;
 ``reports`` renders them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import time
@@ -32,6 +33,7 @@ from .checkers import (
     hull_check,
     max_principle_check,
     residual_certify,
+    sample,
     slab_domain,
 )
 from .jets import EvaluationError
@@ -43,6 +45,7 @@ from .maps import (
     RadialCurveMap,
     ScalarProfileMap,
     TrigQuadMap,
+    finite_difference_map_jet,
     polar_decompose,
 )
 from .operators import grad_norm_sq, normal, orthogonal_projection, row_norm, tangential
@@ -214,20 +217,20 @@ def _perturbed_scalar(w1, M, cfg):
     return ScalarProfileMap(w1, cfg.n), PerturbationPotentialMap(w1, M, cfg.n)
 
 
-# Principle checks: (map, domain, config) -> PrincipleVerdict.  The checkers
-# are looked up when a check runs, so a wrapped checker sees every call.
+# Principle checks: (sampled values, domain, config) -> PrincipleVerdict.  The
+# checkers are looked up when a check runs, so a wrapped checker sees every call.
 
 def _along(k: int):
     """Principle check of the projection onto the k-th target axis."""
-    return lambda u, domain, cfg: directional_check(u, np.eye(cfg.N)[k], domain)
+    return lambda values, domain, cfg: directional_check(values, np.eye(cfg.N)[k], domain)
 
 
-def _modulus(u, domain, cfg):
-    return max_principle_check(lambda x: row_norm(u.value(x)), domain)
+def _modulus(values, domain, cfg):
+    return max_principle_check(row_norm(values), domain)
 
 
-def _scalar_value(u, domain, cfg):
-    return max_principle_check(lambda x: u.value(x)[..., 0], domain)
+def _scalar_value(values, domain, cfg):
+    return max_principle_check(values[..., 0], domain)
 
 
 @dataclass(frozen=True)
@@ -293,36 +296,42 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     sb = choose_M(profile, cfg.safety)
     u, f_map = spec.build(profile, sb.M, cfg)
     m_cubed = sb.M**3
-    domains = {}
 
+    @functools.cache
     def domain(key):
-        if key not in domains:
-            kind, lo, hi = key
-            if kind == "annulus":
-                domains[key] = annulus_domain(lo, hi, cfg.n, cfg.grid_points, cfg.witnesses())
-            else:
-                domains[key] = slab_domain(
-                    lo, hi, cfg.n, cfg.grid_points, cfg.cross_extent, cfg.witnesses()
-                )
-        return domains[key]
+        kind, lo, hi = key
+        if kind == "annulus":
+            return annulus_domain(lo, hi, cfg.n, cfg.grid_points, cfg.witnesses())
+        return slab_domain(lo, hi, cfg.n, cfg.grid_points, cfg.cross_extent, cfg.witnesses())
+
+    @functools.cache
+    def values(key):
+        return sample(u.value, domain(key))
 
     res_domain = domain(spec.residual_domain)
-    residual = (
-        residual_certify(u, spec.op, res_domain, cfg.residual_tol_scale * m_cubed, f_map=f_map),
-        residual_certify(
-            u, spec.op, res_domain, cfg.fd_tol_scale * m_cubed,
-            jet_source="fd", fd_step=cfg.fd_step, f_map=f_map,
-        ),
-    )
+
+    # the jets of u and of the forcing map (None without one) in one sample,
+    # which names the first failing point of either
+    def jets(get):
+        return sample(lambda x: (get(u, x), None if f_map is None else get(f_map, x)), res_domain)
+
+    # one field of jets is alive at a time
+    analytic = jets(lambda m, x: m.map_jet(x))
+    residual = [residual_certify(analytic, spec.op, res_domain, cfg.residual_tol_scale * m_cubed)]
     conservation = None
     if spec.conservation_scale is not None:
         conservation = conservation_check(
-            u, res_domain, sb.M**2, tol=spec.conservation_scale * sb.M**2
+            analytic[0], res_domain, sb.M**2, tol=spec.conservation_scale * sb.M**2
         )
-    principle = {name: check(u, domain(key), cfg) for name, key, check in spec.principle}
+    del analytic
+    residual.append(residual_certify(
+        jets(lambda m, x: finite_difference_map_jet(m, x, h=cfg.fd_step)),
+        spec.op, res_domain, cfg.fd_tol_scale * m_cubed, jet_source="fd",
+    ))
+    principle = {name: check(values(key), domain(key), cfg) for name, key, check in spec.principle}
     hull = None
     if spec.hull_domain is not None:
-        hull = hull_check(u, domain(spec.hull_domain), cfg.hull_tol)
+        hull = hull_check(values(spec.hull_domain), domain(spec.hull_domain), cfg.hull_tol)
 
     half = 0.5 * spec.analytic_margin
     if len(spec.detect) == 2:
@@ -341,7 +350,7 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     )
     assessment = {"analytic_margin": spec.analytic_margin, "margin_threshold": half, **detected}
     return CheckReport(
-        cfg, sb, overall, residual=residual, conservation=conservation,
+        cfg, sb, overall, residual=tuple(residual), conservation=conservation,
         principle=principle, hull=hull, assessment=assessment,
     )
 

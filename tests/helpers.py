@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from inflap.checkers import DomainSpec
+from inflap.checkers import DomainSpec, sample
 from inflap.jets import Jet2
-from inflap.maps import TrigQuadMap
+from inflap.maps import TrigQuadMap, finite_difference_map_jet
 
 
 def affine_map(A, b) -> TrigQuadMap:
@@ -19,6 +19,17 @@ def affine_map(A, b) -> TrigQuadMap:
         wavevectors=np.zeros((0, n)),
         phases=np.zeros(0),
     )
+
+
+def sampled_jets(u, domain: DomainSpec, f_map=None, fd_step: float | None = None):
+    """The residual checks' field: the jets of u and of f_map (None without
+    one) sampled on the domain, analytic or, with fd_step, from the
+    finite-difference oracle."""
+    if fd_step is None:
+        get = lambda m, x: m.map_jet(x)  # noqa: E731
+    else:
+        get = lambda m, x: finite_difference_map_jet(m, x, h=fd_step)  # noqa: E731
+    return sample(lambda x: (get(u, x), None if f_map is None else get(f_map, x)), domain)
 
 
 def box_domain(intervals, grid_points: int = 11) -> DomainSpec:

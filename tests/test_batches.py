@@ -15,6 +15,7 @@ from inflap.checkers import (
     directional_check,
     hull_check,
     residual_certify,
+    sample,
     slab_domain,
 )
 from inflap.maps import (
@@ -36,6 +37,8 @@ from inflap.profiles import (
     PolarPhase,
     choose_M,
 )
+
+from helpers import sampled_jets
 
 # seams, branch switches, extrema and table edges of the profiles
 SPECIAL = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 1e-12, -1e-12, 2.0 - 1e-12, 1.5)
@@ -131,11 +134,13 @@ def test_single_point_is_the_unbatched_row(maps):
 
 
 CHECKS = [
-    lambda u, d: residual_certify(u, "tangential", d, 1.0),
-    lambda u, d: residual_certify(u, "tangential", d, 1.0, jet_source="fd"),
-    lambda u, d: directional_check(u, [1.0, 0.0], d),
-    lambda u, d: conservation_check(u, d, 1.0),
-    lambda u, d: hull_check(u, d),
+    lambda u, d: residual_certify(sampled_jets(u, d), "tangential", d, 1.0),
+    lambda u, d: residual_certify(
+        sampled_jets(u, d, fd_step=1e-4), "tangential", d, 1.0, jet_source="fd"
+    ),
+    lambda u, d: directional_check(sample(u.value, d), [1.0, 0.0], d),
+    lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0),
+    lambda u, d: hull_check(sample(u.value, d), d),
 ]
 CHECK_IDS = ["residual_analytic", "residual_fd", "principle", "conservation", "hull"]
 
@@ -204,7 +209,7 @@ class TestFirstFailure:
         interior = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         d = DomainSpec("annulus", interior, np.array([[3.0, 0.0, 0.0]]))
         with pytest.raises(CheckEvaluationError) as exc:
-            residual_certify(u, "tangential", d, 1.0)
+            residual_certify(sampled_jets(u, d), "tangential", d, 1.0)
         assert str(exc.value) == ("evaluation failed at [0.0, 0.0, 0.0]: "
                                   "radial map is undefined at the origin")
 

@@ -26,7 +26,9 @@ def test_traced_run_reaches_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(trace.read_text())["calls"]
     for key in ("checkers.residual_analytic", "checkers.residual_fd", "checkers.principle",
-                "checkers.hull", "maps.fd_jet", "quadrature.panel", "operators"):
+                "checkers.hull", "checkers.conservation", "checkers.domain", "maps.map_jet",
+                "maps.value", "maps.fd_jet", "profiles.choose_M", "profiles.table_build",
+                "quadrature.panel", "operators"):
         assert calls.get(key, 0) > 0, key
 
 

@@ -12,6 +12,7 @@ from inflap.checkers import (
     hull_check,
     max_principle_check,
     residual_certify,
+    sample,
     slab_domain,
 )
 from inflap.hull import convex_hull, distance_outside, max_outside_distance
@@ -33,7 +34,7 @@ from inflap.profiles import (
     choose_M,
 )
 
-from helpers import affine_map, box_domain, refine_abscissas
+from helpers import affine_map, box_domain, refine_abscissas, sampled_jets
 
 INV_E = math.exp(-1.0)
 WITNESSES = (0.0, 1.0, -1.0, 2.0)
@@ -117,7 +118,7 @@ class TestResidualCertify:
     def test_curve_map_passes(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = residual_certify(u1, "tangential", d, 1e-8 * sb.M**3)
+        rep = residual_certify(sampled_jets(u1, d), "tangential", d, 1e-8 * sb.M**3)
         assert rep.passed
         assert rep.n_points >= GRID
         assert rep.sup_residual <= 1e-12
@@ -125,25 +126,27 @@ class TestResidualCertify:
     def test_polar_map_passes(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert residual_certify(u3, "tangential", d, 1e-8 * sb.M**3).passed
+        assert residual_certify(sampled_jets(u3, d), "tangential", d, 1e-8 * sb.M**3).passed
 
     def test_perturbed_scalar_passes(self, ex3_setup):
         v_map, f_map, sb = ex3_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = residual_certify(v_map, "perturbed_scalar", d, 1e-8 * sb.M**3, f_map=f_map)
+        rep = residual_certify(sampled_jets(v_map, d, f_map), "perturbed_scalar", d, 1e-8 * sb.M**3)
         assert rep.passed
 
     def test_fd_oracle_path_passes(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=201)
-        rep = residual_certify(u1, "tangential", d, 1e-3 * sb.M**3, jet_source="fd")
+        rep = residual_certify(
+            sampled_jets(u1, d, fd_step=1e-4), "tangential", d, 1e-3 * sb.M**3, jet_source="fd"
+        )
         assert rep.passed
         assert rep.jet_source == "fd"
 
     def test_failing_tolerance_reports_worst_point(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=201)
-        rep = residual_certify(u1, "tangential", d, 1e-30)
+        rep = residual_certify(sampled_jets(u1, d), "tangential", d, 1e-30)
         assert not rep.passed
         assert rep.worst_point is not None
 
@@ -154,27 +157,27 @@ class TestResidualCertify:
         u3 = PolarSpiralMap(rho, short_phase, n=1, N=2)
         d = slab_domain(-1.5, 1.5, grid_points=51)
         with pytest.raises(CheckEvaluationError) as exc:
-            residual_certify(u3, "tangential", d, 1e-8)
+            residual_certify(sampled_jets(u3, d), "tangential", d, 1e-8)
         assert abs(exc.value.point[0]) > 1.0
 
     def test_perturbed_scalar_requires_f_map(self, ex3_setup):
         v_map, _, _ = ex3_setup
         d = slab_domain(-1.0, 1.0, grid_points=11)
         with pytest.raises(ValueError):
-            residual_certify(v_map, "perturbed_scalar", d, 1e-8)
+            residual_certify(sampled_jets(v_map, d), "perturbed_scalar", d, 1e-8)
 
     def test_unknown_selector_rejected(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-1.0, 1.0, grid_points=11)
         with pytest.raises(ValueError):
-            residual_certify(u1, "bogus", d, 1e-8)
+            residual_certify(sampled_jets(u1, d), "bogus", d, 1e-8)
 
 
 class TestPrincipleChecks:
     def test_modulus_margin_on_polar_map(self, u3_setup):
         u3, _ = u3_setup
         d = slab_domain(-1.0, 1.0, grid_points=GRID, witnesses=WITNESSES)
-        v = max_principle_check(lambda x: np.linalg.norm(u3.value(x), axis=-1), d)
+        v = max_principle_check(sample(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d)
         assert v.sup_interior == pytest.approx(1.0, abs=1e-12)
         assert v.max_boundary == pytest.approx(INV_E, abs=1e-12)
         assert v.max_violation_margin == pytest.approx(1.0 - INV_E, abs=1e-12)
@@ -183,21 +186,23 @@ class TestPrincipleChecks:
     def test_directional_margin_on_annulus(self, u2_setup):
         u2, _ = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        v = directional_check(u2, [1.0, 0.0], d)
+        v = directional_check(sample(u2.value, d), [1.0, 0.0], d)
         assert v.max_boundary == 0.0
         assert v.sup_interior == pytest.approx(INV_E, abs=1e-12)
         assert v.max_violation
 
     def test_constant_field_has_no_violation(self):
         d = slab_domain(-1.0, 1.0, grid_points=21)
-        v = max_principle_check(lambda x: np.full(len(x), 3.25), d)
+        v = max_principle_check(sample(lambda x: np.full(len(x), 3.25), d), d)
         assert v.max_violation_margin <= 0.0
         assert v.min_violation_margin <= 0.0
 
     def test_two_sided_failure_split_across_slabs(self, u1_setup):
         u1, _ = u1_setup
-        neg = directional_check(u1, [1.0, 0.0], slab_domain(-2.0, 0.0, grid_points=GRID, witnesses=WITNESSES))
-        pos = directional_check(u1, [1.0, 0.0], slab_domain(0.0, 2.0, grid_points=GRID, witnesses=WITNESSES))
+        d_neg = slab_domain(-2.0, 0.0, grid_points=GRID, witnesses=WITNESSES)
+        d_pos = slab_domain(0.0, 2.0, grid_points=GRID, witnesses=WITNESSES)
+        neg = directional_check(sample(u1.value, d_neg), [1.0, 0.0], d_neg)
+        pos = directional_check(sample(u1.value, d_pos), [1.0, 0.0], d_pos)
         assert neg.max_violation != pos.max_violation
         assert neg.min_violation != pos.min_violation
         assert neg.max_violation != neg.min_violation
@@ -208,17 +213,19 @@ class TestPrincipleChecks:
     def test_monotone_second_component_never_violates(self, u1_setup):
         u1, _ = u1_setup
         for a, b in ((-2.0, 0.0), (0.0, 2.0)):
-            v = directional_check(u1, [0.0, 1.0], slab_domain(a, b, grid_points=GRID))
+            d = slab_domain(a, b, grid_points=GRID)
+            v = directional_check(sample(u1.value, d), [0.0, 1.0], d)
             assert not v.max_violation
             assert not v.min_violation
 
     def test_direction_scaling(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-2.0, 0.0, grid_points=101, witnesses=WITNESSES)
-        base = directional_check(u1, [1.0, 0.0], d)
-        scaled = directional_check(u1, [4.0, 0.0], d)
+        values = sample(u1.value, d)
+        base = directional_check(values, [1.0, 0.0], d)
+        scaled = directional_check(values, [4.0, 0.0], d)
         assert scaled.max_violation_margin == 4.0 * base.max_violation_margin
-        general = directional_check(u1, [1.7, 0.0], d)
+        general = directional_check(values, [1.7, 0.0], d)
         assert general.max_violation == base.max_violation
         assert general.max_violation_margin == pytest.approx(
             1.7 * base.max_violation_margin, rel=1e-12
@@ -227,14 +234,15 @@ class TestPrincipleChecks:
     def test_zero_direction_rejected(self, u1_setup):
         u1, _ = u1_setup
         with pytest.raises(ValueError):
-            directional_check(u1, [0.0, 0.0], slab_domain(-1.0, 1.0, grid_points=11))
+            d = slab_domain(-1.0, 1.0, grid_points=11)
+            directional_check(sample(u1.value, d), [0.0, 0.0], d)
 
 
 class TestHullChecks:
     def test_radial_map_escapes_hull(self, u2_setup):
         u2, _ = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        h = hull_check(u2, d)
+        h = hull_check(sample(u2.value, d), d)
         assert not h.contained
         assert h.max_outside_distance == pytest.approx(INV_E, abs=1e-9)
         assert abs(h.witness_point[0]) == 2.0
@@ -242,31 +250,32 @@ class TestHullChecks:
     def test_curve_map_escapes_hull(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-2.0, 2.0, grid_points=GRID, witnesses=WITNESSES)
-        h = hull_check(u1, d)
+        h = hull_check(sample(u1.value, d), d)
         assert not h.contained
         assert h.max_outside_distance == pytest.approx(INV_E, abs=1e-9)
 
     def test_affine_on_box_is_contained(self):
         mp = affine_map(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=9)
-        h = hull_check(mp, d)
+        h = hull_check(sample(mp.value, d), d)
         assert h.contained
         assert h.max_outside_distance <= 1e-12
 
     def test_contained_implies_no_directional_violation(self):
         mp = affine_map(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=9)
-        assert hull_check(mp, d).contained
+        values = sample(mp.value, d)
+        assert hull_check(values, d).contained
         for k in range(64):
             theta = 2.0 * math.pi * k / 64.0
-            v = directional_check(mp, [math.cos(theta), math.sin(theta)], d)
+            v = directional_check(values, [math.cos(theta), math.sin(theta)], d)
             assert v.max_violation_margin <= 1e-9
 
     def test_needs_boundary_samples(self, u1_setup):
         u1, _ = u1_setup
         empty = DomainSpec("slab", np.zeros((3, 1)), np.zeros((0, 1)))
         with pytest.raises(ValueError):
-            hull_check(u1, empty)
+            hull_check(sample(u1.value, empty), empty)
 
 
 class TestHullGeometry:
@@ -303,23 +312,23 @@ class TestConservation:
     def test_curve_map(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = conservation_check(u1, d, sb.M**2)
+        rep = conservation_check(sample(u1.map_jet, d), d, sb.M**2)
         assert rep.max_dev <= 1e-10 * sb.M**2
 
     def test_radial_map(self, u2_setup):
         u2, sb = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        assert conservation_check(u2, d, sb.M**2).max_dev <= 1e-10 * sb.M**2
+        assert conservation_check(sample(u2.map_jet, d), d, sb.M**2).max_dev <= 1e-10 * sb.M**2
 
     def test_polar_map(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert conservation_check(u3, d, sb.M**2).max_dev <= 1e-9 * sb.M**2
+        assert conservation_check(sample(u3.map_jet, d), d, sb.M**2).max_dev <= 1e-9 * sb.M**2
 
     def test_explicit_target(self):
         mp = affine_map(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=5)
-        rep = conservation_check(mp, d, target_sq=25.0)
+        rep = conservation_check(sample(mp.map_jet, d), d, target_sq=25.0)
         assert rep.max_dev == 0.0
 
 
@@ -342,11 +351,13 @@ class _NanAtOnePoint(VectorMap):
 
 class TestNonFiniteSamples:
     @pytest.mark.parametrize("check", [
-        lambda u, d: residual_certify(u, "tangential", d, 1.0),
-        lambda u, d: residual_certify(u, "tangential", d, 1.0, jet_source="fd"),
-        lambda u, d: max_principle_check(lambda x: u.value(x)[..., 0], d),
-        lambda u, d: conservation_check(u, d, 1.0),
-        lambda u, d: hull_check(u, d),
+        lambda u, d: residual_certify(sampled_jets(u, d), "tangential", d, 1.0),
+        lambda u, d: residual_certify(
+            sampled_jets(u, d, fd_step=1e-4), "tangential", d, 1.0, jet_source="fd"
+        ),
+        lambda u, d: max_principle_check(sample(lambda x: u.value(x)[..., 0], d), d),
+        lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0),
+        lambda u, d: hull_check(sample(u.value, d), d),
     ], ids=["residual_analytic", "residual_fd", "principle", "conservation", "hull"])
     def test_nan_sample_aborts_with_its_point(self, check):
         d = slab_domain(-1.0, 1.0, grid_points=5)  # interior -0.5, 0, 0.5
@@ -364,9 +375,11 @@ class TestMonotoneRefinement:
         sup_moduli = []
         for _ in range(3):
             d = slab_domain(-1.0, 1.0, abscissas=ts)
-            rep = residual_certify(u1, "tangential", d, 1e-8 * sb1.M**3)
+            rep = residual_certify(sampled_jets(u1, d), "tangential", d, 1e-8 * sb1.M**3)
             sup_residuals.append(rep.sup_residual)
-            verdict = max_principle_check(lambda x: np.linalg.norm(u3.value(x), axis=-1), d)
+            verdict = max_principle_check(
+                sample(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d
+            )
             sup_moduli.append(verdict.sup_interior)
             ts = refine_abscissas(ts)
         assert sup_residuals[0] <= sup_residuals[1] <= sup_residuals[2]

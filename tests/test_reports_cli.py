@@ -262,6 +262,15 @@ class TestCli:
         assert main(["ex2", "--config", str(cfgfile)]) == 2
         assert "gridpoints" in capsys.readouterr().err
 
+    def test_config_scenario_key_exit_two(self, tmp_path, capsys):
+        # the scenarios come from the command line; a config key must not replace them
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("scenario=ex3\n")
+        assert main(["ex1a", "ex1b", "--grid", "51", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert "'scenario'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_invalid_field_value_exit_two(self, capsys):
         assert main(["ex2", "--grid", "1"]) == 2
         assert "grid_points" in capsys.readouterr().err
