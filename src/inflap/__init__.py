@@ -85,7 +85,6 @@ from .reports import (
     dumps_canonical,
     emit_profile_tables,
     emit_report,
-    parse_report,
 )
 
 __version__ = "0.1.0"

@@ -183,18 +183,17 @@ class HullVerdict:
 
 @dataclass
 class ConservationReport:
-    """Max deviation of |Du|² from its target; tol, when a caller sets
-    one, decides the pass."""
+    """Max deviation of |Du|² from its target; it passes within tol."""
 
     max_dev: float
     target_sq: float
     worst_point: np.ndarray | None
     domain: str
-    tol: float | None = None
+    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.tol is None or self.max_dev <= self.tol
+        return self.max_dev <= self.tol
 
 
 def sample(f, domain: DomainSpec):
@@ -305,7 +304,7 @@ def hull_check(values: np.ndarray, domain: DomainSpec, hull_tol: float = 1e-9) -
 
 
 def conservation_check(
-    jets, domain: DomainSpec, target_sq: float, tol: float | None = None
+    jets, domain: DomainSpec, target_sq: float, tol: float
 ) -> ConservationReport:
     """Max deviation of |Du|² from its constant target over the sampled jets."""
     devs = np.abs(grad_norm_sq(jets) - target_sq)

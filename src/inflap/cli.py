@@ -105,7 +105,8 @@ def main(argv=None) -> int:
     # where the report goes is not part of the configuration it echoes
     out_path = base.pop("out_path", None)
 
-    reports = []
+    # every configuration is valid before any scenario runs
+    configs = []
     for name in names:
         try:
             cfg = config_from_mapping({"scenario": name, **base})
@@ -117,17 +118,20 @@ def main(argv=None) -> int:
             for err in errors:
                 print(f"error: {err}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
+        configs.append(cfg)
+
+    reports = []
+    for cfg in configs:
         try:
             reports.append(run_scenario(cfg))
         except EvaluationError as exc:
-            print(f"error: scenario {name} aborted: {exc}", file=sys.stderr)
+            print(f"error: scenario {cfg.scenario} aborted: {exc}", file=sys.stderr)
             return EXIT_EVALUATION_ERROR
         except Exception as exc:
             return _internal_error(exc)
 
-    fmt = base.get("format", "json")
     try:
-        payload = emit_report(reports, fmt=fmt, with_timings=not args.no_timings)
+        payload = emit_report(reports, fmt=configs[0].format, with_timings=not args.no_timings)
     except Exception as exc:
         return _internal_error(exc)
     if out_path:
@@ -142,8 +146,7 @@ def main(argv=None) -> int:
 
     if args.emit_profiles:
         try:
-            emit_profile_tables(args.emit_profiles, names,
-                                grid_points=int(base.get("grid_points", 2001)))
+            emit_profile_tables(args.emit_profiles, names, configs[0].grid_points)
         except OSError as exc:
             print(f"error: cannot write profile tables: {exc}", file=sys.stderr)
             return EXIT_EVALUATION_ERROR

@@ -68,11 +68,6 @@ class Jet2:
     def __repr__(self) -> str:
         return f"Jet2({self.val!r}, {self.d1!r}, {self.d2!r})"
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Jet2):
-            return all(np.array_equal(a, b) for a, b in zip(self.as_tuple(), other.as_tuple()))
-        return NotImplemented
-
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Jet of f∘g for g = self, given f, f', f'' evaluated at g.val."""
         return Jet2(f0, f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2)

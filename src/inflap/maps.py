@@ -284,7 +284,8 @@ class TrigQuadMap(VectorMap):
         self.phases = np.asarray(phases, dtype=float)
 
     @classmethod
-    def random(cls, rng: np.random.Generator, n: int, N: int, waves: int = 3):
+    def random(cls, rng: np.random.Generator, n: int, N: int):
+        waves = 3
         return cls(
             constant=rng.normal(size=N),
             linear=rng.normal(size=(N, n)),
@@ -368,6 +369,8 @@ def _stencil_components(map_obj: VectorMap, x, h: float):
     if not isinstance(map_obj, _ProfileMap):
         return None
     try:
+        # the value calls build each shifted batch again: keeping the batches
+        # from here for them holds the whole stencil at once, a higher peak
         shifts = (_runs(map_obj._scalar(p)) for p in _stencil(x, map_obj.n, h))
         u, inv = next(shifts)
         if inv is None:

@@ -24,7 +24,11 @@ __all__ = [
     "infinity_laplacian",
     "perturbed_scalar",
     "row_norm",
+    "RANK_TOL",
 ]
+
+#: relative cutoff below which a singular value of the jacobian counts as zero
+RANK_TOL = 1e-10
 
 
 @dataclass
@@ -55,40 +59,38 @@ def tangential(m) -> np.ndarray:
     return np.einsum("...ai,...bj,...bij->...a", m.jacobian, m.jacobian, m.hessian)
 
 
-def orthogonal_projection(jacobian: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def orthogonal_projection(jacobian: np.ndarray) -> np.ndarray:
     """Projection onto the orthogonal complement of the jacobian's range.
 
-    Left singular vectors with sigma > rank_tol * sigma_max span the range;
+    Left singular vectors with sigma > RANK_TOL * sigma_max span the range;
     P = I - sum of their outer products.  A zero jacobian projects onto
     everything (P = I).  P is symmetrized so P = P^T holds exactly.
     Stacked jacobians (..., N, n) give stacked projections (..., N, N).
     """
-    if rank_tol <= 0.0:
-        raise ValueError("rank_tol must be positive")
     j = np.asarray(jacobian, dtype=float)
     u, s, _ = np.linalg.svd(j, full_matrices=False)
     top = s[..., :1]
     # the dropped columns are zeroed, not removed, so stacks keep one shape
-    keep = u * ((s > rank_tol * top) & (top > 0.0))[..., None, :]
+    keep = u * ((s > RANK_TOL * top) & (top > 0.0))[..., None, :]
     p = np.eye(j.shape[-2]) - keep @ np.swapaxes(keep, -1, -2)
     return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
-def normal(m, rank_tol: float = 1e-10) -> np.ndarray:
+def normal(m) -> np.ndarray:
     """|Du|² [Du]^perp Δu; identically zero for scalar maps."""
     lap = np.einsum("...bii->...b", m.hessian)
     g = np.asarray(grad_norm_sq(m))[..., None]
-    return g * np.matvec(orthogonal_projection(m.jacobian, rank_tol), lap)
+    return g * np.matvec(orthogonal_projection(m.jacobian), lap)
 
 
-def infinity_laplacian(m, rank_tol: float = 1e-10) -> OperatorValue:
+def infinity_laplacian(m) -> OperatorValue:
     """Assemble the full operator with its tangential/normal split.
 
     Singular values of the jacobian are reported so that points near a
     rank transition of the projection stay auditable.
     """
     tang = tangential(m)
-    norm_part = normal(m, rank_tol)
+    norm_part = normal(m)
     s = np.linalg.svd(np.asarray(m.jacobian, dtype=float), compute_uv=False)
     return OperatorValue(
         tangential=tang,

@@ -248,7 +248,6 @@ class ArcComplement(_IntegralProfile):
         lo, hi = base.support
         if not (math.isfinite(lo) and math.isfinite(hi)):
             lo, hi = base.sup_search_interval
-        self.sup_search_interval = (lo, hi)
         self._table = _CumulativeTable(self.d1, lo, hi, cells)
 
     def d1(self, t):
@@ -275,15 +274,14 @@ class PolarPhase(_IntegralProfile):
 
     kind = "phase"
 
-    def __init__(self, M: float, t_max: float = 2.0, cells: int = 4096, rho: GaussianRho | None = None):
+    def __init__(self, M: float, t_max: float = 2.0, cells: int = 4096, *, rho: GaussianRho):
         if M <= 0.0:
             raise ValueError("speed bound M must be positive")
         if t_max <= 0.0:
             raise ValueError("t_max must be positive")
-        self.rho = rho if rho is not None else GaussianRho()
+        self.rho = rho
         self.M = float(M)
         self.t_max = float(t_max)
-        self.sup_search_interval = (-t_max, t_max)
         self._table = _CumulativeTable(self.d1, -t_max, t_max, cells)
 
     def d1(self, t):

@@ -17,37 +17,24 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .profiles import BumpW1, BumpZ1, GaussianRho
-from .scenarios import CheckReport
+from .scenarios import CheckReport, construction
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
     "dumps_canonical",
     "emit_report",
-    "parse_report",
     "report_dict",
     "report_rows",
     "CSV_HEADER",
     "emit_profile_tables",
-    "PROFILE_TABLE_RANGE",
 ]
 
 REPORT_SCHEMA_VERSION = 1
 
 CSV_HEADER = ("scenario", "check", "domain", "metric", "value", "threshold", "status")
 
-#: plot range per emitted profile table; wide enough to show the supports
-PROFILE_TABLE_RANGE = {"w1": (-4.0, 4.0), "z1": (-4.0, 4.0), "rho_star": (-4.0, 4.0)}
-
-_PROFILES_BY_SCENARIO = {
-    "ex1a": ("w1",),
-    "ex1b": ("z1",),
-    "ex2": ("rho_star",),
-    "ex3": ("w1",),
-    "properties": ("rho_star",),
-}
-
-_PROFILE_FACTORIES = {"w1": BumpW1, "z1": BumpZ1, "rho_star": GaussianRho}
+#: plot range of every emitted profile table; wide enough to show the supports
+_TABLE_RANGE = (-4.0, 4.0)
 
 
 def _format_float(x: float) -> str:
@@ -210,27 +197,23 @@ def emit_report(reports, fmt: str = "json", with_timings: bool = True) -> bytes:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def parse_report(data: bytes) -> dict:
-    return json.loads(data.decode())
-
-
-def emit_profile_tables(dir_path: str, scenarios, grid_points: int = 2001) -> list[str]:
-    """Write (t, value) CSV tables for the profiles a scenario set uses.
+def emit_profile_tables(dir_path: str, scenarios, grid_points: int) -> list[str]:
+    """Write a (t, value) CSV table, named by its kind, of each profile the
+    scenarios' constructions use; an unknown scenario raises KeyError.
 
     The witness abscissas are merged into the grid so the tabulated extrema
     hit the analytic ones (±1/e for the bumps, 1 for the Gaussian peak).
     """
-    kinds = dict.fromkeys(k for sc in scenarios for k in _PROFILES_BY_SCENARIO.get(sc, ()))
+    classes = dict.fromkeys(construction(sc).profile for sc in scenarios)
+    ts = np.unique(np.concatenate([
+        np.linspace(*_TABLE_RANGE, grid_points),
+        np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
+    ]))
     os.makedirs(dir_path, exist_ok=True)
     written = []
-    for kind in kinds:
-        profile = _PROFILE_FACTORIES[kind]()
-        lo, hi = PROFILE_TABLE_RANGE[kind]
-        ts = np.unique(np.concatenate([
-            np.linspace(lo, hi, grid_points),
-            np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
-        ]))
-        path = os.path.join(dir_path, f"{kind}.csv")
+    for cls in classes:
+        profile = cls()
+        path = os.path.join(dir_path, f"{profile.kind}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("t", "value"))

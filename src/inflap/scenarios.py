@@ -64,6 +64,8 @@ __all__ = [
     "CheckReport",
     "PropertyCheck",
     "SCENARIO_NAMES",
+    "MAX_DOMAIN_POINTS",
+    "construction",
     "validate_config",
     "run_scenario",
     "INV_E",
@@ -78,6 +80,9 @@ WITNESS_ABSCISSAS = (0.0, 1.0, -1.0, 2.0)
 
 _VECTOR_SCENARIOS = ("ex1a", "ex1b", "ex2")
 SCENARIO_NAMES = ("ex1a", "ex1b", "ex2", "ex3", "properties")
+
+#: most points a construction's domain may hold: grid_points·3^(n-1) on a slab, ·2n on an annulus
+MAX_DOMAIN_POINTS = 2_000_000
 
 
 @dataclass
@@ -108,17 +113,17 @@ _POSITIVE_FIELDS = (
 
 
 def _stencil_reach(cfg: ScenarioConfig) -> float:
-    """Largest |coordinate| of the residual domain (ex2's slab for the
-    property suite), cross-section offsets included."""
-    name = "ex2" if cfg.scenario == "properties" else cfg.scenario
-    kind, lo, hi = _CONSTRUCTIONS[name].residual_domain
+    """Largest |coordinate| of the construction's residual domain,
+    cross-section offsets included."""
+    kind, lo, hi = construction(cfg.scenario).residual_domain
     return max(-lo, hi, 0.5 * cfg.cross_extent if kind == "slab" and cfg.n > 1 else 0.0)
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """Field-by-field validation; returns a list of error strings."""
     errors = []
-    if cfg.scenario not in SCENARIO_NAMES:
+    spec = construction(cfg.scenario) if cfg.scenario in SCENARIO_NAMES else None
+    if spec is None:
         errors.append(f"scenario: unknown name {cfg.scenario!r}; expected one of {SCENARIO_NAMES}")
     if cfg.n < 1:
         errors.append("n: must be >= 1")
@@ -126,6 +131,12 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         errors.append("N: must be >= 2 for the vector-valued scenarios")
     if cfg.grid_points < 2:
         errors.append("grid_points: must be >= 2")
+    if cfg.scenario in _CONSTRUCTIONS and cfg.n >= 1:
+        # a construction's domains all have its residual domain's kind; 3^20
+        # slab copies alone pass the cap, so no larger power is formed
+        copies = 2 * cfg.n if spec.residual_domain[0] == "annulus" else 3 ** min(cfg.n - 1, 20)
+        if cfg.grid_points * copies > MAX_DOMAIN_POINTS:
+            errors.append(f"grid_points, n: a domain holds more than {MAX_DOMAIN_POINTS} points")
     invalid = set()
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
@@ -139,19 +150,20 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     if cfg.cache_cells < 16:
         invalid.add("cache_cells")
         errors.append("cache_cells: must be >= 16")
-    if cfg.scenario in ("ex2", "properties") and not invalid & {"t_max", "fd_step", "cache_cells"}:
-        # the phase is tabulated on |t| <= t_max; both scenarios sample ex2's
-        # residual slab, and ex2's fd stencil reaches one step past it.  An
-        # odd cell count makes the table reach t_max (1 + 1/cells); out to
-        # there rho = exp(-t²) must stay a normal float.
-        _, lo, hi = _CONSTRUCTIONS["ex2"].residual_domain
-        reach = max(-lo, hi) + (cfg.fd_step if cfg.scenario == "ex2" else 0.0)
+    polar = spec is not None and spec.build is _polar_spiral
+    if polar and not invalid & {"t_max", "fd_step", "cache_cells"}:
+        # the phase is tabulated on |t| <= t_max and sampled on the residual
+        # slab, one fd step past it outside the property suite.  An odd cell
+        # count makes the table reach t_max (1 + 1/cells); out to there
+        # rho = exp(-t²) must stay a normal float.
+        _, lo, hi = spec.residual_domain
+        reach = max(-lo, hi) + (cfg.fd_step if cfg.scenario in _CONSTRUCTIONS else 0.0)
         top = math.sqrt(-math.log(sys.float_info.min)) / (1.0 + 1.0 / cfg.cache_cells)
         if not reach <= cfg.t_max <= top:
             errors.append(
                 f"t_max: must lie in [{reach!r}, {top!r}] for {cfg.scenario}, got {cfg.t_max!r}"
             )
-    if cfg.scenario in SCENARIO_NAMES and not invalid & {"fd_step", "cross_extent"}:
+    if spec is not None and not invalid & {"fd_step", "cross_extent"}:
         # x ± fd_step must differ from x at the reach; the features have unit width
         reach = _stencil_reach(cfg)
         if not (reach + cfg.fd_step > reach and cfg.fd_step <= 1e-2):
@@ -290,8 +302,13 @@ _CONSTRUCTIONS = {
 }
 
 
+def construction(name: str) -> _Construction:
+    """The registry entry of scenario ``name``; the property suite runs on ex2's."""
+    return _CONSTRUCTIONS["ex2" if name == "properties" else name]
+
+
 def _run_construction(cfg: ScenarioConfig) -> CheckReport:
-    spec = _CONSTRUCTIONS[cfg.scenario]
+    spec = construction(cfg.scenario)
     profile = spec.profile()
     sb = choose_M(profile, cfg.safety)
     u, f_map = spec.build(profile, sb.M, cfg)
@@ -453,8 +470,8 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         "pass": max_rel <= 1e-5,
     }
 
-    # polar identity on ex2's polar-spiral construction, over its residual slab
-    spec = _CONSTRUCTIONS["ex2"]
+    # polar identity on the suite's polar-spiral construction, over its residual slab
+    spec = construction(cfg.scenario)
     rho = spec.profile()
     sb = choose_M(rho, cfg.safety)
     u, _ = spec.build(rho, sb.M, replace(cfg, n=1, N=2))

@@ -6,6 +6,7 @@ grid points per axis, safety 0.05, seed 0.
 """
 
 import contextlib
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from inflap.checkers import max_principle_check, residual_certify, sample, slab_domain
 from inflap.maps import CurveMap, PolarSpiralMap
 from inflap.profiles import ArcComplement, BumpW1, GaussianRho, PolarPhase, choose_M
-from inflap.reports import emit_report, parse_report
+from inflap.reports import emit_report
 from inflap.scenarios import ScenarioConfig, run_scenario
 
 from helpers import refine_abscissas, sampled_jets
@@ -44,7 +45,7 @@ def reports():
 @pytest.fixture(scope="module")
 def docs(reports):
     """Each scenario's report as the JSON object the CLI emits."""
-    return {name: parse_report(emit_report(rep))["reports"][0] for name, rep in reports.items()}
+    return {name: json.loads(emit_report(rep))["reports"][0] for name, rep in reports.items()}
 
 
 def test_criterion_1_residual_certification(docs):

@@ -139,7 +139,7 @@ CHECKS = [
         sampled_jets(u, d, fd_step=1e-4), "tangential", d, 1.0, jet_source="fd"
     ),
     lambda u, d: directional_check(sample(u.value, d), [1.0, 0.0], d),
-    lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0),
+    lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0, tol=1.0),
     lambda u, d: hull_check(sample(u.value, d), d),
 ]
 CHECK_IDS = ["residual_analytic", "residual_fd", "principle", "conservation", "hull"]

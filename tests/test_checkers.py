@@ -312,24 +312,23 @@ class TestConservation:
     def test_curve_map(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = conservation_check(sample(u1.map_jet, d), d, sb.M**2)
-        assert rep.max_dev <= 1e-10 * sb.M**2
+        assert conservation_check(sample(u1.map_jet, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
 
     def test_radial_map(self, u2_setup):
         u2, sb = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        assert conservation_check(sample(u2.map_jet, d), d, sb.M**2).max_dev <= 1e-10 * sb.M**2
+        assert conservation_check(sample(u2.map_jet, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
 
     def test_polar_map(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert conservation_check(sample(u3.map_jet, d), d, sb.M**2).max_dev <= 1e-9 * sb.M**2
+        assert conservation_check(sample(u3.map_jet, d), d, sb.M**2, tol=1e-9 * sb.M**2).passed
 
     def test_explicit_target(self):
         mp = affine_map(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=5)
-        rep = conservation_check(sample(mp.map_jet, d), d, target_sq=25.0)
-        assert rep.max_dev == 0.0
+        rep = conservation_check(sample(mp.map_jet, d), d, target_sq=25.0, tol=0.0)
+        assert rep.max_dev == 0.0 and rep.passed
 
 
 class _NanAtOnePoint(VectorMap):
@@ -356,7 +355,7 @@ class TestNonFiniteSamples:
             sampled_jets(u, d, fd_step=1e-4), "tangential", d, 1.0, jet_source="fd"
         ),
         lambda u, d: max_principle_check(sample(lambda x: u.value(x)[..., 0], d), d),
-        lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0),
+        lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0, tol=1.0),
         lambda u, d: hull_check(sample(u.value, d), d),
     ], ids=["residual_analytic", "residual_fd", "principle", "conservation", "hull"])
     def test_nan_sample_aborts_with_its_point(self, check):

@@ -132,10 +132,6 @@ class TestProjection:
             assert np.abs(p @ p - p).max() <= 1e-12
             assert np.linalg.norm(p @ j) <= 1e-12 * np.linalg.norm(j)
 
-    def test_rank_tol_validated(self):
-        with pytest.raises(ValueError):
-            orthogonal_projection(np.eye(2), rank_tol=0.0)
-
 
 class TestNormal:
     def test_scalar_maps_give_exact_zero(self):

@@ -22,11 +22,17 @@ from inflap.reports import (
     dumps_canonical,
     emit_profile_tables,
     emit_report,
-    parse_report,
     report_dict,
     report_rows,
 )
-from inflap.scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario, validate_config
+from inflap.scenarios import (
+    MAX_DOMAIN_POINTS,
+    SCENARIO_NAMES,
+    ScenarioConfig,
+    construction,
+    run_scenario,
+    validate_config,
+)
 
 INV_E = math.exp(-1.0)
 
@@ -117,7 +123,7 @@ class TestCanonicalJson:
 
 class TestReportEmission:
     def test_modulus_margin_key_path(self, ex2_report):
-        doc = parse_report(emit_report(ex2_report))
+        doc = json.loads(emit_report(ex2_report))
         scenario = doc["reports"][0]
         assert scenario["scenario"] == "ex2"
         margin = scenario["principle"]["modulus"]["margin"]
@@ -125,7 +131,7 @@ class TestReportEmission:
 
     def test_roundtrip_is_bit_exact(self, ex2_report):
         original = report_dict(ex2_report, with_timings=False)
-        parsed = parse_report(emit_report(ex2_report, with_timings=False))["reports"][0]
+        parsed = json.loads(emit_report(ex2_report, with_timings=False))["reports"][0]
 
         def compare(a, b):
             if isinstance(a, dict):
@@ -144,8 +150,8 @@ class TestReportEmission:
         compare(original, parsed)
 
     def test_timings_are_segregated(self, ex2_report):
-        with_t = parse_report(emit_report(ex2_report, with_timings=True))["reports"][0]
-        without = parse_report(emit_report(ex2_report, with_timings=False))["reports"][0]
+        with_t = json.loads(emit_report(ex2_report, with_timings=True))["reports"][0]
+        without = json.loads(emit_report(ex2_report, with_timings=False))["reports"][0]
         assert "timings" in with_t
         assert "timings" not in without
         del with_t["timings"]
@@ -207,6 +213,28 @@ class TestValidation:
     def test_run_scenario_rejects_invalid_config(self):
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig(scenario="ex2", N=1))
+
+    @pytest.mark.parametrize("scenario, n, grid_points, capped", [
+        ("ex1a", 1, MAX_DOMAIN_POINTS, False),
+        ("ex1a", 1, MAX_DOMAIN_POINTS + 1, True),
+        ("ex3", 3, MAX_DOMAIN_POINTS // 9, False),
+        ("ex3", 3, MAX_DOMAIN_POINTS // 9 + 1, True),
+        ("ex1b", 2, MAX_DOMAIN_POINTS // 4, False),
+        ("ex1b", 2, MAX_DOMAIN_POINTS // 4 + 1, True),
+        ("ex2", 20, 2001, True),
+        ("ex1a", 10**9, 2, True),
+        ("ex1b", 10**9, 2, True),
+        ("properties", 20, 2001, False),  # the property suite samples no domain
+    ])
+    def test_domain_size_is_capped(self, scenario, n, grid_points, capped):
+        """A slab holds grid_points·3^(n-1) points, an annulus grid_points·2n."""
+        errors = validate_config(ScenarioConfig(scenario=scenario, n=n, grid_points=grid_points))
+        assert any(e.startswith("grid_points, n:") for e in errors) == capped
+
+    def test_properties_runs_on_the_ex2_construction(self):
+        assert construction("properties") is construction("ex2")
+        with pytest.raises(KeyError):
+            construction("nope")
 
 
 class TestCli:
@@ -274,6 +302,29 @@ class TestCli:
     def test_invalid_field_value_exit_two(self, capsys):
         assert main(["ex2", "--grid", "1"]) == 2
         assert "grid_points" in capsys.readouterr().err
+
+    def test_every_config_is_validated_before_any_run(self, tmp_path, monkeypatch, capsys):
+        runs = []
+
+        def counted(cfg):
+            runs.append(cfg.scenario)
+            return run_scenario(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", counted)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("t_max=1.0\n")  # too short for ex2 only
+        assert main(["ex1a", "ex1b", "ex2", "--grid", "51", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert runs == []
+        assert "t_max" in capsys.readouterr().err
+
+    def test_oversized_domain_exit_two_without_running(self, monkeypatch, capsys):
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with n = {cfg.n}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        assert main(["all", "--n", "20"]) == 2
+        assert "grid_points, n:" in capsys.readouterr().err
 
     def test_evaluation_error_exit_three(self, monkeypatch, capsys):
         def undefined(self, t):
@@ -424,3 +475,14 @@ class TestProfileTables:
         ])
         assert code == 0
         assert (out_dir / "rho_star.csv").exists()
+
+    def test_tables_follow_the_construction_registry(self, tmp_path):
+        def written(scenarios, out_dir):
+            paths = emit_profile_tables(out_dir, scenarios, grid_points=11)
+            assert sorted(os.listdir(out_dir)) == sorted(os.path.basename(p) for p in paths)
+            return [os.path.basename(p) for p in paths]
+
+        assert written(["properties"], tmp_path / "a") == ["rho_star.csv"]
+        assert written(SCENARIO_NAMES, tmp_path / "b") == ["w1.csv", "z1.csv", "rho_star.csv"]
+        with pytest.raises(KeyError):
+            emit_profile_tables(tmp_path / "c", ["nope"], grid_points=11)
