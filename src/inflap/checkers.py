@@ -78,7 +78,6 @@ def slab_domain(
     grid_points: int = 2001,
     cross_extent: float = 1.0,
     witnesses=(),
-    abscissas=None,
 ) -> DomainSpec:
     """Slab {a < x1 < b} sampled on a bounded section.
 
@@ -90,12 +89,9 @@ def slab_domain(
     """
     if not b > a:
         raise ValueError("slab needs a < b")
-    if abscissas is None:
-        if grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-        ts = np.linspace(a, b, grid_points)
-    else:
-        ts = np.asarray(abscissas, dtype=float)
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
+    ts = np.linspace(a, b, grid_points)
     interior_t = _with_witnesses(ts[(ts > a) & (ts < b)], witnesses, a, b)
     cross = _cross_sections(n, cross_extent)
 

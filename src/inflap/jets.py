@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Jet2",
     "EvaluationError",
-    "JetDomainError",
     "exp",
     "first_where",
     "jet_lift",
@@ -29,11 +28,7 @@ __all__ = [
 
 
 class EvaluationError(ValueError):
-    """An evaluation left the domain where a map or profile is defined."""
-
-
-class JetDomainError(EvaluationError):
-    """A jet function was evaluated where it is not smoothly defined."""
+    """An evaluation left the domain where a jet function, profile or map is defined."""
 
 
 def exp(x) -> np.ndarray:
@@ -103,7 +98,7 @@ class Jet2:
 
     def _reciprocal(self):
         if np.any(self.val == 0.0):
-            raise JetDomainError("reciprocal of a zero-valued jet")
+            raise EvaluationError("reciprocal of a zero-valued jet")
         r = 1.0 / self.val
         return self.chain(r, -r * r, 2.0 * r * r * r)
 
@@ -142,6 +137,6 @@ def jet_sqrt(j: Jet2) -> Jet2:
     # bound failed to dominate the base derivative.
     bad = np.asarray(j.val) <= 0.0
     if np.any(bad):
-        raise JetDomainError(f"sqrt of non-positive jet value {first_where(bad, j.val)!r}")
+        raise EvaluationError(f"sqrt of non-positive jet value {first_where(bad, j.val)!r}")
     s = np.sqrt(j.val)
     return j.chain(s, 0.5 / s, -0.25 / (s * j.val))

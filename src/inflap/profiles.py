@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, JetDomainError, exp, first_where, jet_exp, jet_sqrt
+from .jets import EvaluationError, Jet2, exp, first_where, jet_exp, jet_sqrt
 from .quadrature import gauss_kronrod_15
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "GaussianRho",
     "ArcComplement",
     "PolarPhase",
-    "PhaseRangeError",
     "SpeedBound",
     "estimate_sup_abs_d1",
     "choose_M",
@@ -47,10 +46,6 @@ __all__ = [
 # below this the value underflows anyway; cutting off early keeps 1/d² from
 # overflowing right at the seam and realizes the exact C-infinity limit.
 _SEAM_CUTOFF = -1.0 / 690.0
-
-
-class PhaseRangeError(EvaluationError):
-    """Phase evaluation requested outside the guarded range."""
 
 
 class Profile:
@@ -222,7 +217,7 @@ class _IntegralProfile(Profile):
         v = self.M * self.M - p1 * p1
         bad = ~(np.asarray(getattr(v, "val", v)) > 0.0)
         if np.any(bad):
-            raise JetDomainError(
+            raise EvaluationError(
                 f"speed bound {self.M!r} does not dominate the profile derivative "
                 f"at t={first_where(bad, getattr(t, 'val', t))!r}"
             )
@@ -290,7 +285,7 @@ class PolarPhase(_IntegralProfile):
     def _integral(self, t):
         bad = np.abs(t) > self.t_max * (1.0 + 1e-12)
         if np.any(bad):
-            raise PhaseRangeError(
+            raise EvaluationError(
                 f"phase evaluation at t={first_where(bad, t)!r} outside the guarded range "
                 f"|t| <= {self.t_max!r}"
             )

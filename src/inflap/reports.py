@@ -178,9 +178,7 @@ def report_rows(report: CheckReport) -> list[tuple]:
 
 
 def emit_report(reports, fmt: str = "json", with_timings: bool = True) -> bytes:
-    """Serialize one report or a list of reports to JSON or CSV bytes."""
-    if isinstance(reports, CheckReport):
-        reports = [reports]
+    """Serialize a list of reports to JSON or CSV bytes."""
     if fmt == "json":
         doc = {
             "schema_version": REPORT_SCHEMA_VERSION,

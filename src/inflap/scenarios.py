@@ -65,6 +65,7 @@ __all__ = [
     "PropertyCheck",
     "SCENARIO_NAMES",
     "MAX_DOMAIN_POINTS",
+    "MAX_HESSIAN_ENTRIES",
     "construction",
     "validate_config",
     "run_scenario",
@@ -83,6 +84,9 @@ SCENARIO_NAMES = ("ex1a", "ex1b", "ex2", "ex3", "properties")
 
 #: most points a construction's domain may hold: grid_points·3^(n-1) on a slab, ·2n on an annulus
 MAX_DOMAIN_POINTS = 2_000_000
+#: most hessian entries one sampled field of jets may hold, grid_points·copies·N·n²
+#: with N = 1 for the scalar maps of ex3: 160 MB of float64
+MAX_HESSIAN_ENTRIES = 20_000_000
 
 
 @dataclass
@@ -135,8 +139,14 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         # a construction's domains all have its residual domain's kind; 3^20
         # slab copies alone pass the cap, so no larger power is formed
         copies = 2 * cfg.n if spec.residual_domain[0] == "annulus" else 3 ** min(cfg.n - 1, 20)
-        if cfg.grid_points * copies > MAX_DOMAIN_POINTS:
+        points = cfg.grid_points * copies
+        if points > MAX_DOMAIN_POINTS:
             errors.append(f"grid_points, n: a domain holds more than {MAX_DOMAIN_POINTS} points")
+        # a point's jets grow with N·n², so the point cap alone leaves memory unbounded
+        targets = 1 if spec.build is _perturbed_scalar else cfg.N
+        if points * targets * cfg.n**2 > MAX_HESSIAN_ENTRIES:
+            errors.append(f"grid_points, n, N: a field of jets holds more than "
+                          f"{MAX_HESSIAN_ENTRIES} hessian entries")
     invalid = set()
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)

@@ -1,10 +1,17 @@
 """Reference maps, domains and oracles that only the tests use."""
 
+import re
+
 import numpy as np
 
 from inflap.checkers import DomainSpec, sample
 from inflap.jets import Jet2
 from inflap.maps import TrigQuadMap, finite_difference_map_jet
+
+
+def exact(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing more."""
+    return rf"\A{re.escape(message)}\Z"
 
 
 def affine_map(A, b) -> TrigQuadMap:

@@ -373,7 +373,7 @@ class TestMonotoneRefinement:
         sup_residuals = []
         sup_moduli = []
         for _ in range(3):
-            d = slab_domain(-1.0, 1.0, abscissas=ts)
+            d = slab_domain(-1.0, 1.0, grid_points=2, witnesses=ts)
             rep = residual_certify(sampled_jets(u1, d), "tangential", d, 1e-8 * sb1.M**3)
             sup_residuals.append(rep.sup_residual)
             verdict = max_principle_check(

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from inflap.jets import Jet2, JetDomainError, jet_lift
+from inflap.jets import EvaluationError, Jet2, jet_lift
 from inflap.profiles import (
     ArcComplement,
     BumpW1,
     BumpZ1,
     GaussianRho,
-    PhaseRangeError,
     PolarPhase,
     Profile,
     SpeedBound,
@@ -17,7 +16,7 @@ from inflap.profiles import (
     estimate_sup_abs_d1,
 )
 
-from helpers import fd_jet
+from helpers import exact, fd_jet
 
 INV_E = math.exp(-1.0)
 SQRT_2_OVER_E = 0.8577638849607068  # closed form sqrt(2/e), peak of |rho'|
@@ -192,8 +191,10 @@ class TestArcComplement:
         assert w2.value(1.3) == pytest.approx(-w2.value(-1.3), rel=1e-12)
 
     def test_insufficient_bound_rejected(self, w1, w1_bound):
-        with pytest.raises(JetDomainError):
-            ArcComplement(w1, 0.5 * w1_bound.sup_estimate, cells=256)
+        M = 0.5 * w1_bound.sup_estimate
+        message = f"speed bound {M!r} does not dominate the profile derivative at t=-1.8671875"
+        with pytest.raises(EvaluationError, match=exact(message)):
+            ArcComplement(w1, M, cells=256)
 
     def test_nonpositive_bound_rejected(self, w1):
         with pytest.raises(ValueError):
@@ -230,9 +231,10 @@ class TestPolarPhase:
             assert abs(r * r * k1 * k1 + p1 * p1 - m_sq) <= 1e-12
 
     def test_range_guard(self, phase):
-        with pytest.raises(PhaseRangeError):
+        message = "phase evaluation at t={} outside the guarded range |t| <= 2.0"
+        with pytest.raises(EvaluationError, match=exact(message.format(2.5))):
             phase.value(2.5)
-        with pytest.raises(PhaseRangeError):
+        with pytest.raises(EvaluationError, match=exact(message.format(-2.0001))):
             phase.value(jet_lift(-2.0001))
 
     def test_monotone_increasing(self, phase):

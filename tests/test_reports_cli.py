@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from inflap import cli, scenarios
 from inflap.cli import main
-from inflap.jets import JetDomainError
+from inflap.jets import EvaluationError
 from inflap.profiles import BumpW1
 from inflap.reports import (
     CSV_HEADER,
@@ -27,6 +27,7 @@ from inflap.reports import (
 )
 from inflap.scenarios import (
     MAX_DOMAIN_POINTS,
+    MAX_HESSIAN_ENTRIES,
     SCENARIO_NAMES,
     ScenarioConfig,
     construction,
@@ -123,7 +124,7 @@ class TestCanonicalJson:
 
 class TestReportEmission:
     def test_modulus_margin_key_path(self, ex2_report):
-        doc = json.loads(emit_report(ex2_report))
+        doc = json.loads(emit_report([ex2_report]))
         scenario = doc["reports"][0]
         assert scenario["scenario"] == "ex2"
         margin = scenario["principle"]["modulus"]["margin"]
@@ -131,7 +132,7 @@ class TestReportEmission:
 
     def test_roundtrip_is_bit_exact(self, ex2_report):
         original = report_dict(ex2_report, with_timings=False)
-        parsed = json.loads(emit_report(ex2_report, with_timings=False))["reports"][0]
+        parsed = json.loads(emit_report([ex2_report], with_timings=False))["reports"][0]
 
         def compare(a, b):
             if isinstance(a, dict):
@@ -150,8 +151,8 @@ class TestReportEmission:
         compare(original, parsed)
 
     def test_timings_are_segregated(self, ex2_report):
-        with_t = json.loads(emit_report(ex2_report, with_timings=True))["reports"][0]
-        without = json.loads(emit_report(ex2_report, with_timings=False))["reports"][0]
+        with_t = json.loads(emit_report([ex2_report], with_timings=True))["reports"][0]
+        without = json.loads(emit_report([ex2_report], with_timings=False))["reports"][0]
         assert "timings" in with_t
         assert "timings" not in without
         del with_t["timings"]
@@ -159,7 +160,7 @@ class TestReportEmission:
 
     def test_csv_row_count_matches_executed_checks(self, fast_reports):
         for name, report in fast_reports.items():
-            payload = emit_report(report, fmt="csv").decode()
+            payload = emit_report([report], fmt="csv").decode()
             rows = list(csv.reader(io.StringIO(payload)))
             assert tuple(rows[0]) == CSV_HEADER
             assert [(r[1], r[3], r[6]) for r in rows[1:]] == EXPECTED_ROWS[name]
@@ -168,21 +169,21 @@ class TestReportEmission:
 
     def test_unknown_format_rejected(self, ex2_report):
         with pytest.raises(ValueError):
-            emit_report(ex2_report, fmt="xml")
+            emit_report([ex2_report], fmt="xml")
 
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self):
         cfg = ScenarioConfig(scenario="ex2", **FAST)
-        first = emit_report(run_scenario(cfg), with_timings=False)
-        second = emit_report(run_scenario(cfg), with_timings=False)
+        first = emit_report([run_scenario(cfg)], with_timings=False)
+        second = emit_report([run_scenario(cfg)], with_timings=False)
         assert first == second
 
     def test_properties_runs_respect_seed(self):
         a = run_scenario(ScenarioConfig(scenario="properties", seed=5, **FAST))
         b = run_scenario(ScenarioConfig(scenario="properties", seed=5, **FAST))
         c = run_scenario(ScenarioConfig(scenario="properties", seed=6, **FAST))
-        assert emit_report(a, with_timings=False) == emit_report(b, with_timings=False)
+        assert emit_report([a], with_timings=False) == emit_report([b], with_timings=False)
         stat = lambda r: r.properties["perpendicularity"].stats["max_relative_dot"]  # noqa: E731
         assert stat(a) != stat(c)
 
@@ -230,6 +231,20 @@ class TestValidation:
         """A slab holds grid_points·3^(n-1) points, an annulus grid_points·2n."""
         errors = validate_config(ScenarioConfig(scenario=scenario, n=n, grid_points=grid_points))
         assert any(e.startswith("grid_points, n:") for e in errors) == capped
+
+    @pytest.mark.parametrize("scenario, n, N, grid_points, capped", [
+        ("ex1a", 3, 2, MAX_HESSIAN_ENTRIES // 162, False),
+        ("ex1a", 3, 2, MAX_HESSIAN_ENTRIES // 162 + 1, True),
+        ("ex1b", 2, 3, MAX_HESSIAN_ENTRIES // 48, False),
+        ("ex1b", 2, 3, MAX_HESSIAN_ENTRIES // 48 + 1, True),
+        ("ex3", 4, 10**9, MAX_HESSIAN_ENTRIES // 432, False),  # scalar maps whatever N
+        ("ex3", 4, 10**9, MAX_HESSIAN_ENTRIES // 432 + 1, True),
+        ("properties", 20, 10**9, 2001, False),
+    ])
+    def test_jet_field_size_is_capped(self, scenario, n, N, grid_points, capped):
+        """A field of jets holds grid_points·copies·N·n² hessian entries, N = 1 on ex3."""
+        cfg = ScenarioConfig(scenario=scenario, n=n, N=N, grid_points=grid_points)
+        assert any(e.startswith("grid_points, n, N:") for e in validate_config(cfg)) == capped
 
     def test_properties_runs_on_the_ex2_construction(self):
         assert construction("properties") is construction("ex2")
@@ -326,9 +341,20 @@ class TestCli:
         assert main(["all", "--n", "20"]) == 2
         assert "grid_points, n:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--N", "1000000000"], ["--n", "8", "--grid", "900"]])
+    def test_oversized_jets_exit_two_without_running(self, monkeypatch, capsys, flags):
+        # both pass the point cap: 2,001 and 1,968,300 points on ex1a's slab
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with n = {cfg.n}, N = {cfg.N}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        assert main(["all", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "grid_points, n, N:" in err and "grid_points, n:" not in err
+
     def test_evaluation_error_exit_three(self, monkeypatch, capsys):
         def undefined(self, t):
-            raise JetDomainError("profile undefined here")
+            raise EvaluationError("profile undefined here")
 
         # choose_M reads only d1, so the failure surfaces in the residual check
         monkeypatch.setattr(BumpW1, "value", undefined)
