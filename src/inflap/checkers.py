@@ -2,8 +2,10 @@
 principle margins, convex-hull containment, and gradient-norm conservation.
 
 Domains are finite sample sets (interior strictly inside, boundary exactly
-on the boundary equation).  ``sample`` evaluates a field on all domain
-points at once; every check is a reduction of a sampled field with
+on the boundary equation).  ``sample`` evaluates a field on consecutive
+blocks of at most ``BLOCK_POINTS`` domain points and keeps only its
+per-point results, so the field's temporaries never span the whole
+domain; every check is a reduction of a sampled field with
 ``argmax``/``argmin`` (the first index wins a tie), so reports are
 deterministic for a given grid.  An evaluation error or a NaN or infinite
 reduced value aborts with the first offending point in domain order.
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import max_outside_distance
-from .jets import EvaluationError
-from .operators import grad_norm_sq, perturbed_scalar, row_norm, tangential
+from .jets import EvaluationError, sorted_distinct
+from .operators import perturbed_scalar, row_norm, tangential
 
 __all__ = [
     "DomainSpec",
@@ -30,13 +32,19 @@ __all__ = [
     "PrincipleVerdict",
     "HullVerdict",
     "ConservationReport",
+    "BLOCK_POINTS",
     "sample",
+    "residual_norm",
     "residual_certify",
     "max_principle_check",
     "directional_check",
     "hull_check",
     "conservation_check",
 ]
+
+#: most domain points one evaluation of a sampled field sees
+BLOCK_POINTS = 4096
+
 
 class CheckEvaluationError(EvaluationError):
     """An evaluation failed at a specific sample point."""
@@ -54,13 +62,26 @@ class DomainSpec:
     interior: np.ndarray  # (m, n), strictly inside
     boundary: np.ndarray  # (k, n), exactly on the boundary
 
-    def points(self) -> np.ndarray:
-        """Interior then boundary samples, the order of every sampled field."""
-        return np.concatenate([self.interior, self.boundary])
+    def __len__(self) -> int:
+        return len(self.interior) + len(self.boundary)
+
+    def points(self, start: int, stop: int) -> np.ndarray:
+        """A copy of points start to stop - 1 of interior then boundary, the
+        order of every sampled field."""
+        m = len(self.interior)
+        return np.concatenate([
+            self.interior[min(start, m) : min(stop, m)],
+            self.boundary[max(start - m, 0) : max(stop - m, 0)],
+        ])
+
+    def point(self, i: int) -> np.ndarray:
+        """A copy of point i of interior then boundary."""
+        m = len(self.interior)
+        return (self.interior[i] if i < m else self.boundary[i - m]).copy()
 
 
 def _with_witnesses(values: np.ndarray, witnesses, lo: float, hi: float) -> np.ndarray:
-    return np.unique(np.concatenate([values, [w for w in witnesses if lo < w < hi]]))
+    return sorted_distinct(np.concatenate([values, [w for w in witnesses if lo < w < hi]]))
 
 
 def _cross_sections(n: int, extent: float) -> np.ndarray:
@@ -96,8 +117,12 @@ def slab_domain(
     cross = _cross_sections(n, cross_extent)
 
     def points(t):
-        """Each abscissa in t with each cross-section offset, abscissa-major."""
-        return np.column_stack([np.repeat(t, len(cross)), np.tile(cross, (len(t), 1))])
+        """Each abscissa in t with each cross-section offset, abscissa-major,
+        written in place: no temporary of the domain's size."""
+        out = np.empty((len(t), len(cross), n))
+        out[..., 0] = t[:, None]
+        out[..., 1:] = cross
+        return out.reshape(-1, n)
 
     return DomainSpec(f"slab({a:g},{b:g})", points(interior_t), points(np.array([a, b])))
 
@@ -193,75 +218,92 @@ class ConservationReport:
 
 
 def sample(f, domain: DomainSpec):
-    """f on all points of the domain at once, interior then boundary; returns
-    what f returns.  An EvaluationError becomes a CheckEvaluationError
-    naming the first failing point in domain order.  Evaluation is
-    pointwise, so the shortest failing prefix of the points ends at that
-    point and fails with the error the point raises alone."""
-    points = domain.points()
-    try:
-        return f(points)
-    except EvaluationError as exc:
-        lo, hi = 0, len(points)  # f fails on points[:hi] with exc, not on points[:lo]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                f(points[:mid])
-                lo = mid
-            except EvaluationError as prefix_exc:
-                hi, exc = mid, prefix_exc
-        raise CheckEvaluationError(points[hi - 1], str(exc)) from exc
+    """f on the domain's points, interior then boundary, one block of at
+    most BLOCK_POINTS consecutive points at a time.  f returns an array, or
+    a tuple of arrays, with one entry or row per point; the blocks' results
+    are written in point order into one array per result, so only one block
+    of f's temporaries is alive at a time.  An EvaluationError becomes a
+    CheckEvaluationError naming the first failing point in domain order.
+    Evaluation is pointwise, so the blocks before the failing one pass, and
+    within it the shortest failing prefix ends at that point and fails with
+    the error the point raises alone."""
+    total = len(domain)
+    out = None
+    for start in range(0, max(total, 1), BLOCK_POINTS):
+        block = domain.points(start, start + BLOCK_POINTS)
+        try:
+            result = f(block)
+        except EvaluationError as exc:
+            lo, hi = 0, len(block)  # f fails on block[:hi] with exc, not on block[:lo]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    f(block[:mid])
+                    lo = mid
+                except EvaluationError as prefix_exc:
+                    hi, exc = mid, prefix_exc
+            raise CheckEvaluationError(block[hi - 1], str(exc)) from exc
+        if total <= BLOCK_POINTS:
+            return result
+        columns = result if isinstance(result, tuple) else (result,)
+        if out is None:
+            out = tuple(np.empty((total,) + c.shape[1:], c.dtype) for c in columns)
+        for o, c in zip(out, columns):
+            o[start : start + len(block)] = c
+    return out if isinstance(result, tuple) else out[0]
 
 
-def _finite(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _finite(values: np.ndarray, point) -> np.ndarray:
     """The values, one entry or row per point, unless one is NaN or
-    infinite: a CheckEvaluationError then names the first such point."""
+    infinite: a CheckEvaluationError then names the first such point,
+    ``point(i)`` for the i-th value."""
     bad = np.flatnonzero(~np.all(np.isfinite(values), axis=tuple(range(1, values.ndim))))
     if bad.size:
         i = bad[0]
-        raise CheckEvaluationError(points[i], f"sampled value {values[i]} is not finite")
+        raise CheckEvaluationError(point(i), f"sampled value {values[i]} is not finite")
     return values
 
 
-def _at(values: np.ndarray, points: np.ndarray, pick, empty: float):
-    """The finite value ``pick`` (argmax or argmin) selects and a copy of its
-    point; the first index wins a tie.  No samples give ``empty`` and no point."""
+def _at(values: np.ndarray, point, pick, empty: float):
+    """The finite value ``pick`` (argmax or argmin) selects and its point,
+    the copy ``point(i)`` for the i-th value; the first index wins a tie.
+    No samples give ``empty`` and no point."""
     if len(values) == 0:
         return empty, None
-    i = pick(_finite(values, points))
-    return float(values[i]), points[i].copy()
+    i = pick(_finite(values, point))
+    return float(values[i]), point(i)
+
+
+def residual_norm(op: str, u_jets, f_jets=None) -> np.ndarray:
+    """The selected residual's norm at each point of the map's jets: the
+    Euclidean norm of the tangential part for "tangential", the absolute
+    value for "perturbed_scalar" (which needs the forcing map's jets)."""
+    if op == "tangential":
+        return row_norm(tangential(u_jets))
+    if op == "perturbed_scalar":
+        if f_jets is None:
+            raise ValueError("perturbed_scalar residual needs the forcing map's jets")
+        return np.abs(perturbed_scalar(u_jets, f_jets))
+    raise ValueError(f"unknown operator selector {op!r}")
 
 
 def residual_certify(
-    jets, op: str, domain: DomainSpec, tol: float, jet_source: str = "analytic"
+    residuals: np.ndarray, domain: DomainSpec, tol: float, jet_source: str = "analytic"
 ) -> ResidualReport:
-    """Sup of the selected residual norm over all domain samples.
-
-    jets is the pair (the map's jets, the forcing map's jets or None),
-    sampled on the domain; jet_source names where they came from.  op
-    selects the residual: "tangential" (Euclidean norm of the tangential
-    part) or "perturbed_scalar" (absolute value; needs the forcing jets).
-    """
-    u_jets, f_jets = jets
-    if op == "tangential":
-        residual = row_norm(tangential(u_jets))
-    elif op == "perturbed_scalar":
-        if f_jets is None:
-            raise ValueError("perturbed_scalar residual needs the forcing map's jets")
-        residual = np.abs(perturbed_scalar(u_jets, f_jets))
-    else:
-        raise ValueError(f"unknown operator selector {op!r}")
-    sup, worst = _at(residual, domain.points(), np.argmax, 0.0)
-    return ResidualReport(sup, tol, sup <= tol, worst, len(residual), jet_source, domain.label)
+    """Sup of the residual norms sampled on the domain (``residual_norm`` at
+    each point); jet_source names where the jets came from."""
+    sup, worst = _at(residuals, domain.point, np.argmax, 0.0)
+    return ResidualReport(sup, tol, sup <= tol, worst, len(residuals), jet_source, domain.label)
 
 
 def max_principle_check(values: np.ndarray, domain: DomainSpec) -> PrincipleVerdict:
     """Compare interior extrema of a sampled scalar field against boundary extrema."""
-    inner, outer = values[: len(domain.interior)], values[len(domain.interior) :]
-    sup_i, w_sup = _at(inner, domain.interior, np.argmax, -math.inf)
-    inf_i, w_inf = _at(inner, domain.interior, np.argmin, math.inf)
-    max_b, _ = _at(outer, domain.boundary, np.argmax, -math.inf)
-    min_b, _ = _at(outer, domain.boundary, np.argmin, math.inf)
+    m = len(domain.interior)
+    inner, outer = values[:m], values[m:]
+    sup_i, w_sup = _at(inner, domain.point, np.argmax, -math.inf)
+    inf_i, w_inf = _at(inner, domain.point, np.argmin, math.inf)
+    max_b, _ = _at(outer, lambda i: domain.point(m + i), np.argmax, -math.inf)
+    min_b, _ = _at(outer, lambda i: domain.point(m + i), np.argmin, math.inf)
     return PrincipleVerdict(
         sup_interior=sup_i,
         max_boundary=max_b,
@@ -292,17 +334,16 @@ def hull_check(values: np.ndarray, domain: DomainSpec, hull_tol: float = 1e-9) -
     if len(domain.boundary) < 1:
         raise ValueError("hull check needs at least one boundary sample")
     m = len(domain.interior)
-    images = _finite(values[..., :2], domain.points())
-    dist, idx = max_outside_distance(images[:m], images[m:])
+    images = _finite(values[..., :2], domain.point)
+    dist, idx = max_outside_distance(images[:m], images[m:], block=BLOCK_POINTS)
     witness = domain.interior[idx].copy() if idx >= 0 else None
     image = images[idx].copy() if idx >= 0 else None
     return HullVerdict(dist <= hull_tol, dist, witness, image, hull_tol, domain.label)
 
 
 def conservation_check(
-    jets, domain: DomainSpec, target_sq: float, tol: float
+    grad_sq: np.ndarray, domain: DomainSpec, target_sq: float, tol: float
 ) -> ConservationReport:
-    """Max deviation of |Du|² from its constant target over the sampled jets."""
-    devs = np.abs(grad_norm_sq(jets) - target_sq)
-    max_dev, worst = _at(devs, domain.points(), np.argmax, 0.0)
+    """Max deviation of |Du|², sampled on the domain, from its constant target."""
+    max_dev, worst = _at(np.abs(grad_sq - target_sq), domain.point, np.argmax, 0.0)
     return ConservationReport(max_dev, target_sq, worst, domain.label, tol)

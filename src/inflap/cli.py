@@ -82,13 +82,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    names = list(args.scenarios)
-    if "all" in names:
-        names = list(SCENARIO_NAMES)
-    unknown = [s for s in names if s not in SCENARIO_NAMES]
+    # every name is checked, also next to "all", which then replaces them
+    unknown = [s for s in args.scenarios if s != "all" and s not in SCENARIO_NAMES]
     if unknown:
         print(f"error: unknown scenario name(s): {', '.join(unknown)}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    names = list(SCENARIO_NAMES) if "all" in args.scenarios else list(args.scenarios)
 
     base: dict = {}
     if args.config:

@@ -23,7 +23,13 @@ def convex_hull(points) -> np.ndarray:
     Degenerate inputs yield degenerate hulls: a single point or the two
     endpoints of a collinear set.
     """
-    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    # np.unique(axis=0)'s distinct rows in (x, y) order, without its numpy.ma import
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.empty(len(pts), dtype=bool)
+    keep[:1] = True
+    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[keep]
     if len(pts) <= 2:
         return pts
     lower = []
@@ -63,12 +69,21 @@ def distance_outside(p, hull: np.ndarray):
     return np.where(outside, point_segment_distance(q, hull, b).min(axis=-1), 0.0)
 
 
-def max_outside_distance(interior_points, boundary_points) -> tuple[float, int]:
+def max_outside_distance(
+    interior_points, boundary_points, block: int | None = None
+) -> tuple[float, int]:
     """Worst distance of interior image points outside the hull of the
-    boundary image.  Returns (distance, witness index); the first index
-    wins a tie, and (0.0, -1) means every point is inside."""
+    boundary image, tested ``block`` points at a time (all by default).
+    Returns (distance, witness index); the first index wins a tie, and
+    (0.0, -1) means every point is inside."""
     hull = convex_hull(boundary_points)
-    d = distance_outside(np.asarray(interior_points, dtype=float).reshape(-1, 2), hull)
-    d = np.where(d > 0.0, d, 0.0)  # a NaN distance, like an inside one, is no witness
-    i = int(np.argmax(d)) if d.size else 0
-    return (float(d[i]), i) if d.size and d[i] > 0.0 else (0.0, -1)
+    points = np.asarray(interior_points, dtype=float).reshape(-1, 2)
+    step = block or max(len(points), 1)
+    worst, at = 0.0, -1
+    for start in range(0, len(points), step):
+        d = distance_outside(points[start : start + step], hull)
+        d = np.where(d > 0.0, d, 0.0)  # a NaN distance, like an inside one, is no witness
+        i = int(np.argmax(d))
+        if d[i] > worst:  # strictly: an earlier block keeps a tie
+            worst, at = float(d[i]), start + i
+    return worst, at

@@ -19,6 +19,7 @@ __all__ = [
     "EvaluationError",
     "exp",
     "first_where",
+    "sorted_distinct",
     "jet_lift",
     "jet_exp",
     "jet_sin",
@@ -41,6 +42,17 @@ def exp(x) -> np.ndarray:
 def first_where(mask, values) -> float:
     """The first entry of ``values`` where ``mask`` holds, as a float."""
     return float(np.broadcast_to(values, np.shape(mask))[mask][0])
+
+
+def sorted_distinct(a) -> np.ndarray:
+    """np.unique of a 1-D array without NaN: the same sort and adjacent
+    compare, without np.unique's ``np.ma.is_masked`` test, whose first call
+    imports ``numpy.ma``."""
+    s = np.sort(a)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 class Jet2:

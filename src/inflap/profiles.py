@@ -38,6 +38,7 @@ __all__ = [
     "ArcComplement",
     "PolarPhase",
     "SpeedBound",
+    "SUP_GRID_BLOCK",
     "estimate_sup_abs_d1",
     "choose_M",
 ]
@@ -46,6 +47,9 @@ __all__ = [
 # below this the value underflows anyway; cutting off early keeps 1/d² from
 # overflowing right at the seam and realizes the exact C-infinity limit.
 _SEAM_CUTOFF = -1.0 / 690.0
+
+#: most grid nodes of ``estimate_sup_abs_d1`` one ``d1`` call sees
+SUP_GRID_BLOCK = 8192
 
 
 class Profile:
@@ -280,7 +284,9 @@ class PolarPhase(_IntegralProfile):
         self._table = _CumulativeTable(self.d1, -t_max, t_max, cells)
 
     def d1(self, t):
-        return self._root(self.rho.d1(t), t) / self.rho.value(t)
+        # rho' from the one rho, in GaussianRho.d1's order: one exp per node
+        rho = self.rho.value(t)
+        return self._root(-2.0 * t * rho, t) / rho
 
     def _integral(self, t):
         bad = np.abs(t) > self.t_max * (1.0 + 1e-12)
@@ -331,10 +337,13 @@ def estimate_sup_abs_d1(
     interval: tuple[float, float] | None = None,
     samples: int = 100_000,
 ) -> float:
-    """Dense-grid maximum of |profile'| refined by a golden-section polish."""
+    """Dense-grid maximum of |profile'| refined by a golden-section polish;
+    the grid is evaluated SUP_GRID_BLOCK nodes at a time."""
     a, b = interval if interval is not None else profile.sup_search_interval
     ts = np.linspace(a, b, samples)
-    vals = np.abs(profile.d1(ts))
+    vals = np.concatenate([
+        np.abs(profile.d1(ts[k : k + SUP_GRID_BLOCK])) for k in range(0, samples, SUP_GRID_BLOCK)
+    ])
     i = int(np.argmax(vals))
     lo = float(ts[max(i - 1, 0)])
     hi = float(ts[min(i + 1, samples - 1)])

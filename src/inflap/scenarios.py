@@ -4,16 +4,16 @@ Each counterexample scenario is a small data entry: the profile its speed
 bound is chosen for, the map it builds, the residual it certifies, its
 domains, its principle and hull checks and the margin it must detect.  One
 runner builds the construction from scratch, samples each of its fields
-once with ``checkers.sample`` (analytic, then finite-difference jets on the
-residual domain; values on each distinct principle or hull domain), reduces
-them with the checks and applies the pass rule.  The randomized property suite
-has its own runner.  Results are the typed records of ``checkers``;
+once with ``checkers.sample`` (the per-point residual norms of the analytic,
+then the finite-difference jets on the residual domain, with |Du|² for
+conservation; values on each distinct principle or hull domain, one domain
+at a time), reduces them with the checks and applies the pass rule.  The
+randomized property suite has its own runner.  Results are the typed records of ``checkers``;
 ``reports`` renders them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import time
@@ -33,6 +33,7 @@ from .checkers import (
     hull_check,
     max_principle_check,
     residual_certify,
+    residual_norm,
     sample,
     slab_domain,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "SCENARIO_NAMES",
     "MAX_DOMAIN_POINTS",
     "MAX_HESSIAN_ENTRIES",
+    "MAX_CACHE_CELLS",
     "construction",
     "validate_config",
     "run_scenario",
@@ -84,9 +86,13 @@ SCENARIO_NAMES = ("ex1a", "ex1b", "ex2", "ex3", "properties")
 
 #: most points a construction's domain may hold: grid_points·3^(n-1) on a slab, ·2n on an annulus
 MAX_DOMAIN_POINTS = 2_000_000
-#: most hessian entries one sampled field of jets may hold, grid_points·copies·N·n²
-#: with N = 1 for the scalar maps of ex3: 160 MB of float64
+#: most hessian entries the jets of one residual domain may total over its
+#: blocks, grid_points·copies·N·n² with N = 1 for the scalar maps of ex3: it
+#: bounds a run's work and the (points, N) value field
 MAX_HESSIAN_ENTRIES = 20_000_000
+#: most cells of a cumulative-integral table: its build evaluates 15 nodes a
+#: cell at once, about 140 bytes a cell at its peak
+MAX_CACHE_CELLS = 1 << 20
 
 
 @dataclass
@@ -142,7 +148,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         points = cfg.grid_points * copies
         if points > MAX_DOMAIN_POINTS:
             errors.append(f"grid_points, n: a domain holds more than {MAX_DOMAIN_POINTS} points")
-        # a point's jets grow with N·n², so the point cap alone leaves memory unbounded
+        # a point's jets grow with N·n², so the point cap alone leaves the work unbounded
         targets = 1 if spec.build is _perturbed_scalar else cfg.N
         if points * targets * cfg.n**2 > MAX_HESSIAN_ENTRIES:
             errors.append(f"grid_points, n, N: a field of jets holds more than "
@@ -157,9 +163,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     # M = (1 + safety) * sup must exceed the sup, and M³ must stay finite
     if "safety" not in invalid and not (1.0 + cfg.safety > 1.0 and cfg.safety <= 1.0):
         errors.append(f"safety: must satisfy 1 + safety > 1 and safety <= 1, got {cfg.safety!r}")
-    if cfg.cache_cells < 16:
+    if not 16 <= cfg.cache_cells <= MAX_CACHE_CELLS:
         invalid.add("cache_cells")
-        errors.append("cache_cells: must be >= 16")
+        errors.append(f"cache_cells: must lie in [16, {MAX_CACHE_CELLS}], got {cfg.cache_cells!r}")
     polar = spec is not None and spec.build is _polar_spiral
     if polar and not invalid & {"t_max", "fd_step", "cache_cells"}:
         # the phase is tabulated on |t| <= t_max and sampled on the residual
@@ -324,41 +330,54 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     u, f_map = spec.build(profile, sb.M, cfg)
     m_cubed = sb.M**3
 
-    @functools.cache
     def domain(key):
         kind, lo, hi = key
         if kind == "annulus":
             return annulus_domain(lo, hi, cfg.n, cfg.grid_points, cfg.witnesses())
         return slab_domain(lo, hi, cfg.n, cfg.grid_points, cfg.cross_extent, cfg.witnesses())
 
-    @functools.cache
-    def values(key):
-        return sample(u.value, domain(key))
-
     res_domain = domain(spec.residual_domain)
 
-    # the jets of u and of the forcing map (None without one) in one sample,
-    # which names the first failing point of either
-    def jets(get):
-        return sample(lambda x: (get(u, x), None if f_map is None else get(f_map, x)), res_domain)
+    # the residual norm at each point, with |Du|² when asked, from the jets
+    # of u and of the forcing map (None without one); the sample names the
+    # first failing point of either
+    def residuals(get, grad_sq=False):
+        def field(x):
+            u_jets = get(u, x)
+            norms = residual_norm(spec.op, u_jets, None if f_map is None else get(f_map, x))
+            return (norms, grad_norm_sq(u_jets)) if grad_sq else (norms,)
+        return sample(field, res_domain)
 
-    # one field of jets is alive at a time
-    analytic = jets(lambda m, x: m.map_jet(x))
-    residual = [residual_certify(analytic, spec.op, res_domain, cfg.residual_tol_scale * m_cubed)]
+    conserved = spec.conservation_scale is not None
+    analytic = residuals(lambda m, x: m.map_jet(x), grad_sq=conserved)
+    residual = [residual_certify(analytic[0], res_domain, cfg.residual_tol_scale * m_cubed)]
     conservation = None
-    if spec.conservation_scale is not None:
+    if conserved:
         conservation = conservation_check(
-            analytic[0], res_domain, sb.M**2, tol=spec.conservation_scale * sb.M**2
+            analytic[1], res_domain, sb.M**2, tol=spec.conservation_scale * sb.M**2
         )
     del analytic
-    residual.append(residual_certify(
-        jets(lambda m, x: finite_difference_map_jet(m, x, h=cfg.fd_step)),
-        spec.op, res_domain, cfg.fd_tol_scale * m_cubed, jet_source="fd",
-    ))
-    principle = {name: check(values(key), domain(key), cfg) for name, key, check in spec.principle}
-    hull = None
+    (fd,) = residuals(lambda m, x: finite_difference_map_jet(m, x, h=cfg.fd_step))
+    residual.append(residual_certify(fd, res_domain, cfg.fd_tol_scale * m_cubed, jet_source="fd"))
+
+    # each principle or hull domain's values are sampled once, reduced by
+    # every check that reads them and dropped before the next domain is sampled
+    value_domains = dict.fromkeys(key for _, key, _ in spec.principle)
     if spec.hull_domain is not None:
-        hull = hull_check(values(spec.hull_domain), domain(spec.hull_domain), cfg.hull_tol)
+        value_domains[spec.hull_domain] = None
+    if spec.residual_domain not in value_domains:
+        res_domain = None  # no value check reads it
+    principle, hull = {}, None
+    for key in value_domains:
+        d = res_domain if key == spec.residual_domain else domain(key)
+        values = sample(u.value, d)
+        for name, k, check in spec.principle:
+            if k == key:
+                principle[name] = check(values, d, cfg)
+        if key == spec.hull_domain:
+            hull = hull_check(values, d, cfg.hull_tol)
+        del values, d
+    principle = {name: principle[name] for name, _, _ in spec.principle}
 
     half = 0.5 * spec.analytic_margin
     if len(spec.detect) == 2:

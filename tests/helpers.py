@@ -4,9 +4,10 @@ import re
 
 import numpy as np
 
-from inflap.checkers import DomainSpec, sample
+from inflap.checkers import DomainSpec, residual_norm, sample
 from inflap.jets import Jet2
 from inflap.maps import TrigQuadMap, finite_difference_map_jet
+from inflap.operators import grad_norm_sq
 
 
 def exact(message: str) -> str:
@@ -28,15 +29,22 @@ def affine_map(A, b) -> TrigQuadMap:
     )
 
 
-def sampled_jets(u, domain: DomainSpec, f_map=None, fd_step: float | None = None):
-    """The residual checks' field: the jets of u and of f_map (None without
-    one) sampled on the domain, analytic or, with fd_step, from the
-    finite-difference oracle."""
+def sampled_residuals(op: str, u, domain: DomainSpec, f_map=None, fd_step: float | None = None):
+    """The residual checks' field: the residual norm ``op`` at each point of
+    the domain, from the jets of u and of f_map (None without one), analytic
+    or, with fd_step, from the finite-difference oracle."""
     if fd_step is None:
         get = lambda m, x: m.map_jet(x)  # noqa: E731
     else:
         get = lambda m, x: finite_difference_map_jet(m, x, h=fd_step)  # noqa: E731
-    return sample(lambda x: (get(u, x), None if f_map is None else get(f_map, x)), domain)
+    return sample(
+        lambda x: residual_norm(op, get(u, x), None if f_map is None else get(f_map, x)), domain
+    )
+
+
+def sampled_grad_sq(u, domain: DomainSpec):
+    """The conservation check's field: |Du|² of u's analytic jets at each point."""
+    return sample(lambda x: grad_norm_sq(u.map_jet(x)), domain)
 
 
 def box_domain(intervals, grid_points: int = 11) -> DomainSpec:

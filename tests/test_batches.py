@@ -38,7 +38,7 @@ from inflap.profiles import (
     choose_M,
 )
 
-from helpers import exact, sampled_jets
+from helpers import exact, sampled_grad_sq, sampled_residuals
 
 # seams, branch switches, extrema and table edges of the profiles
 SPECIAL = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 1e-12, -1e-12, 2.0 - 1e-12, 1.5)
@@ -134,12 +134,12 @@ def test_single_point_is_the_unbatched_row(maps):
 
 
 CHECKS = [
-    lambda u, d: residual_certify(sampled_jets(u, d), "tangential", d, 1.0),
+    lambda u, d: residual_certify(sampled_residuals("tangential", u, d), d, 1.0),
     lambda u, d: residual_certify(
-        sampled_jets(u, d, fd_step=1e-4), "tangential", d, 1.0, jet_source="fd"
+        sampled_residuals("tangential", u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
     ),
     lambda u, d: directional_check(sample(u.value, d), [1.0, 0.0], d),
-    lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0, tol=1.0),
+    lambda u, d: conservation_check(sampled_grad_sq(u, d), d, 1.0, tol=1.0),
     lambda u, d: hull_check(sample(u.value, d), d),
 ]
 CHECK_IDS = ["residual_analytic", "residual_fd", "principle", "conservation", "hull"]
@@ -209,7 +209,7 @@ class TestFirstFailure:
         interior = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         d = DomainSpec("annulus", interior, np.array([[3.0, 0.0, 0.0]]))
         with pytest.raises(CheckEvaluationError) as exc:
-            residual_certify(sampled_jets(u, d), "tangential", d, 1.0)
+            residual_certify(sampled_residuals("tangential", u, d), d, 1.0)
         assert str(exc.value) == ("evaluation failed at [0.0, 0.0, 0.0]: "
                                   "radial map is undefined at the origin")
 

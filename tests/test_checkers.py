@@ -34,7 +34,7 @@ from inflap.profiles import (
     choose_M,
 )
 
-from helpers import affine_map, box_domain, refine_abscissas, sampled_jets
+from helpers import affine_map, box_domain, refine_abscissas, sampled_grad_sq, sampled_residuals
 
 INV_E = math.exp(-1.0)
 WITNESSES = (0.0, 1.0, -1.0, 2.0)
@@ -118,7 +118,7 @@ class TestResidualCertify:
     def test_curve_map_passes(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = residual_certify(sampled_jets(u1, d), "tangential", d, 1e-8 * sb.M**3)
+        rep = residual_certify(sampled_residuals("tangential", u1, d), d, 1e-8 * sb.M**3)
         assert rep.passed
         assert rep.n_points >= GRID
         assert rep.sup_residual <= 1e-12
@@ -126,19 +126,20 @@ class TestResidualCertify:
     def test_polar_map_passes(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert residual_certify(sampled_jets(u3, d), "tangential", d, 1e-8 * sb.M**3).passed
+        assert residual_certify(sampled_residuals("tangential", u3, d), d, 1e-8 * sb.M**3).passed
 
     def test_perturbed_scalar_passes(self, ex3_setup):
         v_map, f_map, sb = ex3_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = residual_certify(sampled_jets(v_map, d, f_map), "perturbed_scalar", d, 1e-8 * sb.M**3)
+        residuals = sampled_residuals("perturbed_scalar", v_map, d, f_map)
+        rep = residual_certify(residuals, d, 1e-8 * sb.M**3)
         assert rep.passed
 
     def test_fd_oracle_path_passes(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=201)
         rep = residual_certify(
-            sampled_jets(u1, d, fd_step=1e-4), "tangential", d, 1e-3 * sb.M**3, jet_source="fd"
+            sampled_residuals("tangential", u1, d, fd_step=1e-4), d, 1e-3 * sb.M**3, jet_source="fd"
         )
         assert rep.passed
         assert rep.jet_source == "fd"
@@ -146,7 +147,7 @@ class TestResidualCertify:
     def test_failing_tolerance_reports_worst_point(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=201)
-        rep = residual_certify(sampled_jets(u1, d), "tangential", d, 1e-30)
+        rep = residual_certify(sampled_residuals("tangential", u1, d), d, 1e-30)
         assert not rep.passed
         assert rep.worst_point is not None
 
@@ -157,20 +158,20 @@ class TestResidualCertify:
         u3 = PolarSpiralMap(rho, short_phase, n=1, N=2)
         d = slab_domain(-1.5, 1.5, grid_points=51)
         with pytest.raises(CheckEvaluationError) as exc:
-            residual_certify(sampled_jets(u3, d), "tangential", d, 1e-8)
+            residual_certify(sampled_residuals("tangential", u3, d), d, 1e-8)
         assert abs(exc.value.point[0]) > 1.0
 
     def test_perturbed_scalar_requires_f_map(self, ex3_setup):
         v_map, _, _ = ex3_setup
         d = slab_domain(-1.0, 1.0, grid_points=11)
         with pytest.raises(ValueError):
-            residual_certify(sampled_jets(v_map, d), "perturbed_scalar", d, 1e-8)
+            residual_certify(sampled_residuals("perturbed_scalar", v_map, d), d, 1e-8)
 
     def test_unknown_selector_rejected(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-1.0, 1.0, grid_points=11)
         with pytest.raises(ValueError):
-            residual_certify(sampled_jets(u1, d), "bogus", d, 1e-8)
+            residual_certify(sampled_residuals("bogus", u1, d), d, 1e-8)
 
 
 class TestPrincipleChecks:
@@ -312,22 +313,22 @@ class TestConservation:
     def test_curve_map(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        assert conservation_check(sample(u1.map_jet, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
+        assert conservation_check(sampled_grad_sq(u1, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
 
     def test_radial_map(self, u2_setup):
         u2, sb = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        assert conservation_check(sample(u2.map_jet, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
+        assert conservation_check(sampled_grad_sq(u2, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
 
     def test_polar_map(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert conservation_check(sample(u3.map_jet, d), d, sb.M**2, tol=1e-9 * sb.M**2).passed
+        assert conservation_check(sampled_grad_sq(u3, d), d, sb.M**2, tol=1e-9 * sb.M**2).passed
 
     def test_explicit_target(self):
         mp = affine_map(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=5)
-        rep = conservation_check(sample(mp.map_jet, d), d, target_sq=25.0, tol=0.0)
+        rep = conservation_check(sampled_grad_sq(mp, d), d, target_sq=25.0, tol=0.0)
         assert rep.max_dev == 0.0 and rep.passed
 
 
@@ -350,12 +351,12 @@ class _NanAtOnePoint(VectorMap):
 
 class TestNonFiniteSamples:
     @pytest.mark.parametrize("check", [
-        lambda u, d: residual_certify(sampled_jets(u, d), "tangential", d, 1.0),
+        lambda u, d: residual_certify(sampled_residuals("tangential", u, d), d, 1.0),
         lambda u, d: residual_certify(
-            sampled_jets(u, d, fd_step=1e-4), "tangential", d, 1.0, jet_source="fd"
+            sampled_residuals("tangential", u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
         ),
         lambda u, d: max_principle_check(sample(lambda x: u.value(x)[..., 0], d), d),
-        lambda u, d: conservation_check(sample(u.map_jet, d), d, 1.0, tol=1.0),
+        lambda u, d: conservation_check(sampled_grad_sq(u, d), d, 1.0, tol=1.0),
         lambda u, d: hull_check(sample(u.value, d), d),
     ], ids=["residual_analytic", "residual_fd", "principle", "conservation", "hull"])
     def test_nan_sample_aborts_with_its_point(self, check):
@@ -374,7 +375,7 @@ class TestMonotoneRefinement:
         sup_moduli = []
         for _ in range(3):
             d = slab_domain(-1.0, 1.0, grid_points=2, witnesses=ts)
-            rep = residual_certify(sampled_jets(u1, d), "tangential", d, 1e-8 * sb1.M**3)
+            rep = residual_certify(sampled_residuals("tangential", u1, d), d, 1e-8 * sb1.M**3)
             sup_residuals.append(rep.sup_residual)
             verdict = max_principle_check(
                 sample(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d

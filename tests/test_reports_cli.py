@@ -26,6 +26,7 @@ from inflap.reports import (
     report_rows,
 )
 from inflap.scenarios import (
+    MAX_CACHE_CELLS,
     MAX_DOMAIN_POINTS,
     MAX_HESSIAN_ENTRIES,
     SCENARIO_NAMES,
@@ -299,6 +300,16 @@ class TestCli:
         assert main(["nonsense"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["all", "bogus"], ["bogus", "all"], ["ex1a", "all", "bogus"]])
+    def test_unknown_scenario_next_to_all_exit_two(self, monkeypatch, capsys, argv):
+        # "all" replaces the names, so an unknown one was dropped and the run exited 0
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        assert main(argv) == 2
+        assert "unknown scenario name(s): bogus" in capsys.readouterr().err
+
     def test_bad_config_key_exit_two(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("gridpoints=7\n")
@@ -351,6 +362,40 @@ class TestCli:
         assert main(["all", *flags]) == 2
         err = capsys.readouterr().err
         assert "grid_points, n, N:" in err and "grid_points, n:" not in err
+
+    @pytest.mark.parametrize("cells", [10**9, 10**12, MAX_CACHE_CELLS + 1])
+    def test_oversized_tables_exit_two_without_running(self, tmp_path, monkeypatch, capsys, cells):
+        # a table build evaluates 15 Kronrod nodes of every cell at once
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with cache_cells = {cfg.cache_cells}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"cache_cells={cells}\n")
+        assert main(["all", "--config", str(cfgfile)]) == 2
+        assert "cache_cells:" in capsys.readouterr().err
+
+    def test_largest_table_is_accepted(self):
+        for name in SCENARIO_NAMES:
+            cfg = ScenarioConfig(scenario=name, cache_cells=MAX_CACHE_CELLS)
+            assert validate_config(cfg) == []
+
+    def test_numpy_ma_is_never_imported(self, tmp_path):
+        # np.unique tests np.ma.is_masked, and its first call imports numpy.ma;
+        # the run builds domains with witnesses, hulls and profile tables
+        code = (
+            "import contextlib, io, sys\n"
+            "from inflap.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['all', '--grid', '51', '--n', '2', '--no-timings',\n"
+            f"                 '--emit-profiles', {str(tmp_path)!r}])\n"
+            "assert code == 0, code\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_evaluation_error_exit_three(self, monkeypatch, capsys):
         def undefined(self, t):
