@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import max_outside_distance
-from .jets import EvaluationError, sorted_distinct
+from .jets import BLOCK_POINTS, EvaluationError, sorted_distinct
 from .operators import perturbed_scalar, row_norm, tangential
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "PrincipleVerdict",
     "HullVerdict",
     "ConservationReport",
-    "BLOCK_POINTS",
     "sample",
     "residual_norm",
     "residual_certify",
@@ -41,10 +40,6 @@ __all__ = [
     "hull_check",
     "conservation_check",
 ]
-
-#: most domain points one evaluation of a sampled field sees
-BLOCK_POINTS = 4096
-
 
 class CheckEvaluationError(EvaluationError):
     """An evaluation failed at a specific sample point."""
@@ -335,7 +330,7 @@ def hull_check(values: np.ndarray, domain: DomainSpec, hull_tol: float = 1e-9) -
         raise ValueError("hull check needs at least one boundary sample")
     m = len(domain.interior)
     images = _finite(values[..., :2], domain.point)
-    dist, idx = max_outside_distance(images[:m], images[m:], block=BLOCK_POINTS)
+    dist, idx = max_outside_distance(images[:m], images[m:])
     witness = domain.interior[idx].copy() if idx >= 0 else None
     image = images[idx].copy() if idx >= 0 else None
     return HullVerdict(dist <= hull_tol, dist, witness, image, hull_tol, domain.label)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .jets import BLOCK_POINTS
 from .operators import row_norm
 
 __all__ = ["convex_hull", "point_segment_distance", "distance_outside", "max_outside_distance"]
@@ -69,19 +70,16 @@ def distance_outside(p, hull: np.ndarray):
     return np.where(outside, point_segment_distance(q, hull, b).min(axis=-1), 0.0)
 
 
-def max_outside_distance(
-    interior_points, boundary_points, block: int | None = None
-) -> tuple[float, int]:
+def max_outside_distance(interior_points, boundary_points) -> tuple[float, int]:
     """Worst distance of interior image points outside the hull of the
-    boundary image, tested ``block`` points at a time (all by default).
-    Returns (distance, witness index); the first index wins a tie, and
-    (0.0, -1) means every point is inside."""
+    boundary image, tested BLOCK_POINTS points at a time.  Returns
+    (distance, witness index); the first index wins a tie, and (0.0, -1)
+    means every point is inside."""
     hull = convex_hull(boundary_points)
     points = np.asarray(interior_points, dtype=float).reshape(-1, 2)
-    step = block or max(len(points), 1)
     worst, at = 0.0, -1
-    for start in range(0, len(points), step):
-        d = distance_outside(points[start : start + step], hull)
+    for start in range(0, len(points), BLOCK_POINTS):
+        d = distance_outside(points[start : start + BLOCK_POINTS], hull)
         d = np.where(d > 0.0, d, 0.0)  # a NaN distance, like an inside one, is no witness
         i = int(np.argmax(d))
         if d[i] > worst:  # strictly: an earlier block keeps a tie

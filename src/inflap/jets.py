@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "BLOCK_POINTS",
     "Jet2",
     "EvaluationError",
     "exp",
@@ -26,6 +27,10 @@ __all__ = [
     "jet_cos",
     "jet_sqrt",
 ]
+
+
+#: most points one evaluation of a sampled field or of a profile's grid sees
+BLOCK_POINTS = 4096
 
 
 class EvaluationError(ValueError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, exp, first_where, jet_exp, jet_sqrt
+from .jets import BLOCK_POINTS, EvaluationError, Jet2, exp, first_where, jet_exp, jet_sqrt
 from .quadrature import gauss_kronrod_15
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ArcComplement",
     "PolarPhase",
     "SpeedBound",
-    "SUP_GRID_BLOCK",
     "estimate_sup_abs_d1",
     "choose_M",
 ]
@@ -47,10 +46,6 @@ __all__ = [
 # below this the value underflows anyway; cutting off early keeps 1/d² from
 # overflowing right at the seam and realizes the exact C-infinity limit.
 _SEAM_CUTOFF = -1.0 / 690.0
-
-#: most grid nodes of ``estimate_sup_abs_d1`` one ``d1`` call sees
-SUP_GRID_BLOCK = 8192
-
 
 class Profile:
     """Base class: a scalar C-infinity function of one real variable.
@@ -338,11 +333,11 @@ def estimate_sup_abs_d1(
     samples: int = 100_000,
 ) -> float:
     """Dense-grid maximum of |profile'| refined by a golden-section polish;
-    the grid is evaluated SUP_GRID_BLOCK nodes at a time."""
+    the grid is evaluated BLOCK_POINTS nodes at a time."""
     a, b = interval if interval is not None else profile.sup_search_interval
     ts = np.linspace(a, b, samples)
     vals = np.concatenate([
-        np.abs(profile.d1(ts[k : k + SUP_GRID_BLOCK])) for k in range(0, samples, SUP_GRID_BLOCK)
+        np.abs(profile.d1(ts[k : k + BLOCK_POINTS])) for k in range(0, samples, BLOCK_POINTS)
     ])
     i = int(np.argmax(vals))
     lo = float(ts[max(i - 1, 0)])

@@ -151,7 +151,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         # a point's jets grow with N·n², so the point cap alone leaves the work unbounded
         targets = 1 if spec.build is _perturbed_scalar else cfg.N
         if points * targets * cfg.n**2 > MAX_HESSIAN_ENTRIES:
-            errors.append(f"grid_points, n, N: a field of jets holds more than "
+            errors.append(f"grid_points, n, N: the residual domain's jets total more than "
                           f"{MAX_HESSIAN_ENTRIES} hessian entries")
     invalid = set()
     for name in _POSITIVE_FIELDS:

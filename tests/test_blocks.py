@@ -1,5 +1,5 @@
 """Every field is sampled in consecutive blocks of at most BLOCK_POINTS
-domain points, and the speed-bound grid in blocks of SUP_GRID_BLOCK nodes.
+domain points, and the speed-bound grid in blocks of as many nodes.
 Each point is evaluated once, reports equal those of one whole-domain batch
 byte for byte, the first failure is named as one batch names it, one value
 field is alive at a time, and the traced peak of a run grows far slower
@@ -15,7 +15,6 @@ import pytest
 
 from inflap import checkers, profiles, scenarios
 from inflap.checkers import (
-    BLOCK_POINTS,
     CheckEvaluationError,
     DomainSpec,
     conservation_check,
@@ -26,6 +25,7 @@ from inflap.checkers import (
     sample,
     slab_domain,
 )
+from inflap.jets import BLOCK_POINTS
 from inflap.maps import MapJet, PolarSpiralMap, VectorMap
 from inflap.profiles import GaussianRho, PolarPhase, choose_M
 from inflap.reports import emit_report
@@ -57,16 +57,17 @@ def test_each_point_is_evaluated_once_in_domain_order():
     np.testing.assert_array_equal(doubled, 2.0 * _all_points(d)[:, 0])
 
 
-def _emitted(monkeypatch, scenario, block, sup_block):
+def _emitted(monkeypatch, scenario, block):
+    # the block size both samplers read
     monkeypatch.setattr(checkers, "BLOCK_POINTS", block)
-    monkeypatch.setattr(profiles, "SUP_GRID_BLOCK", sup_block)
+    monkeypatch.setattr(profiles, "BLOCK_POINTS", block)
     report = run_scenario(ScenarioConfig(scenario=scenario, n=3, grid_points=301))
     return emit_report([report], with_timings=False)
 
 
 @pytest.mark.parametrize("scenario", ["ex1a", "ex1b", "ex2", "ex3"])
 def test_blocks_give_the_whole_batch_report(monkeypatch, scenario):
-    whole = _emitted(monkeypatch, scenario, WHOLE, WHOLE)
+    whole = _emitted(monkeypatch, scenario, WHOLE)
     # every domain here holds 1,806 (annulus) or 2,709 points or more: at least 4 blocks
     fields = []
 
@@ -82,7 +83,7 @@ def test_blocks_give_the_whole_batch_report(monkeypatch, scenario):
         return out
 
     monkeypatch.setattr(scenarios, "sample", counted_sample)
-    assert _emitted(monkeypatch, scenario, 500, 1000) == whole
+    assert _emitted(monkeypatch, scenario, 500) == whole
     assert fields and all(sum(seen) == size and len(seen) >= 3 for size, seen in fields)
     assert all(max(seen) <= 500 for _, seen in fields)
 

@@ -243,7 +243,7 @@ class TestValidation:
         ("properties", 20, 10**9, 2001, False),
     ])
     def test_jet_field_size_is_capped(self, scenario, n, N, grid_points, capped):
-        """A field of jets holds grid_points·copies·N·n² hessian entries, N = 1 on ex3."""
+        """The residual domain's jets total grid_points·copies·N·n² hessian entries, N = 1 on ex3."""
         cfg = ScenarioConfig(scenario=scenario, n=n, N=N, grid_points=grid_points)
         assert any(e.startswith("grid_points, n, N:") for e in validate_config(cfg)) == capped
 
