@@ -238,8 +238,6 @@ def sample(f, domain: DomainSpec):
                 except EvaluationError as prefix_exc:
                     hi, exc = mid, prefix_exc
             raise CheckEvaluationError(block[hi - 1], str(exc)) from exc
-        if total <= BLOCK_POINTS:
-            return result
         columns = result if isinstance(result, tuple) else (result,)
         if out is None:
             out = tuple(np.empty((total,) + c.shape[1:], c.dtype) for c in columns)

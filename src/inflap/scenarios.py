@@ -139,6 +139,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         errors.append("n: must be >= 1")
     if cfg.scenario in _VECTOR_SCENARIOS and cfg.N < 2:
         errors.append("N: must be >= 2 for the vector-valued scenarios")
+    elif cfg.N < 1:
+        errors.append("N: must be >= 1")
     if cfg.grid_points < 2:
         errors.append("grid_points: must be >= 2")
     if cfg.scenario in _CONSTRUCTIONS and cfg.n >= 1:

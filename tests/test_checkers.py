@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from inflap.checkers import (
     sample,
     slab_domain,
 )
-from inflap.hull import convex_hull, distance_outside, max_outside_distance
+from inflap.hull import max_outside_distance
 from inflap.maps import (
     CurveMap,
     MapJet,
@@ -33,8 +34,11 @@ from inflap.profiles import (
     PolarPhase,
     choose_M,
 )
+from inflap.scenarios import ScenarioConfig, construction
 
-from helpers import affine_map, box_domain, refine_abscissas, sampled_grad_sq, sampled_residuals
+from helpers import (
+    affine_map, box_domain, exact, refine_abscissas, sampled_grad_sq, sampled_residuals,
+)
 
 INV_E = math.exp(-1.0)
 WITNESSES = (0.0, 1.0, -1.0, 2.0)
@@ -255,17 +259,19 @@ class TestHullChecks:
         assert not h.contained
         assert h.max_outside_distance == pytest.approx(INV_E, abs=1e-9)
 
-    def test_affine_on_box_is_contained(self):
-        mp = affine_map(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
-        d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=9)
-        h = hull_check(sample(mp.value, d), d)
+    # an affine map of x1 sends the slab's two faces to two points, and the
+    # interior onto the segment between them
+    SEGMENT_MAP = affine_map(np.array([[1.0, 0.0], [-0.25, 0.0]]), np.array([0.3, -0.1]))
+
+    def test_affine_on_slab_is_contained(self):
+        d = slab_domain(-1.0, 1.0, n=2, grid_points=9)
+        h = hull_check(sample(self.SEGMENT_MAP.value, d), d)
         assert h.contained
         assert h.max_outside_distance <= 1e-12
 
     def test_contained_implies_no_directional_violation(self):
-        mp = affine_map(np.array([[1.0, 0.5], [-0.25, 2.0]]), np.array([0.3, -0.1]))
-        d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=9)
-        values = sample(mp.value, d)
+        d = slab_domain(-1.0, 1.0, n=2, grid_points=9)
+        values = sample(self.SEGMENT_MAP.value, d)
         assert hull_check(values, d).contained
         for k in range(64):
             theta = 2.0 * math.pi * k / 64.0
@@ -280,26 +286,37 @@ class TestHullChecks:
 
 
 class TestHullGeometry:
-    def test_monotone_chain_square(self):
-        pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.5, 0.0)]
-        hull = convex_hull(pts)
-        assert len(hull) == 4
+    @pytest.mark.parametrize("boundary", [
+        [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.5, 0.0)],
+        [(0, 0), (1, 1), (2, 2), (0.5, 0.5)],
+        [(0, 0), (1, 0), (0, 1), (1, 0)],
+        [],
+    ], ids=["square", "collinear", "triangle", "empty"])
+    def test_boundary_image_not_one_or_two_points_refused(self, boundary):
+        count = len(set(boundary))
+        with pytest.raises(ValueError, match=exact(
+            f"boundary image has {count} distinct points; expected 1 or 2"
+        )):
+            max_outside_distance(np.zeros((3, 2)), np.asarray(boundary, dtype=float))
 
     def test_collinear_degenerates_to_segment(self):
-        hull = convex_hull([(0, 0), (1, 1), (2, 2), (0.5, 0.5)])
-        assert len(hull) == 2
-        assert distance_outside([1.0, 1.0], hull) == 0.0
-        assert distance_outside([1.0, 2.0], hull) == pytest.approx(math.sqrt(0.5))
+        boundary = [(0, 0), (2, 2), (2, 2), (0, 0)]
+        assert max_outside_distance([(1.0, 1.0), (0.5, 0.5)], boundary) == (0.0, -1)
+        dist, at = max_outside_distance([(1.0, 1.0), (1.0, 2.0)], boundary)
+        assert at == 1
+        assert dist == pytest.approx(math.sqrt(0.5))
+        # past an end, the distance is to that end
+        assert max_outside_distance([(3.0, 2.0)], boundary) == (1.0, 0)
 
     def test_single_point_hull(self):
-        hull = convex_hull([(1.0, 2.0), (1.0, 2.0)])
-        assert len(hull) == 1
-        assert distance_outside([1.0, 5.0], hull) == 3.0
+        boundary = [(1.0, 2.0), (1.0, 2.0)]
+        assert max_outside_distance([(1.0, 2.0)], boundary) == (0.0, -1)
+        assert max_outside_distance([(1.0, 2.0), (1.0, 5.0)], boundary) == (3.0, 1)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(60)
-        for _ in range(20):
-            boundary = rng.normal(size=(15, 2))
+        for ends in [2, 1] * 10:
+            boundary = rng.normal(size=(ends, 2))[rng.integers(ends, size=15)]
             interior = rng.normal(size=(25, 2)) * 1.5
             d0, _ = max_outside_distance(interior, boundary)
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -307,6 +324,25 @@ class TestHullGeometry:
                             [math.sin(theta), math.cos(theta)]])
             d1, _ = max_outside_distance(interior @ rot.T, boundary @ rot.T)
             assert abs(d0 - d1) <= 1e-9
+
+    @pytest.mark.parametrize("scenario", ["ex1a", "ex1b"])
+    def test_construction_boundary_image_is_at_most_two_points(self, scenario):
+        # the fact the segment hull rests on: each boundary face or sphere
+        # of a hull domain maps to a single point
+        spec = construction(scenario)
+        profile = spec.profile()
+        M = choose_M(profile, samples=20_000).M
+        kind, lo, hi = spec.hull_domain
+        for n, big_n, witnesses in itertools.product((1, 2, 3), (2, 3), (True, False)):
+            cfg = ScenarioConfig(scenario=scenario, n=n, N=big_n, grid_points=51,
+                                 inject_witnesses=witnesses)
+            u, _ = spec.build(profile, M, cfg)
+            if kind == "annulus":
+                d = annulus_domain(lo, hi, n, cfg.grid_points, cfg.witnesses())
+            else:
+                d = slab_domain(lo, hi, n, cfg.grid_points, cfg.cross_extent, cfg.witnesses())
+            images = sample(u.value, d)[len(d.interior):, :2]
+            assert len(np.unique(images, axis=0)) <= 2, (n, big_n, witnesses)
 
 
 class TestConservation:

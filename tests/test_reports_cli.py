@@ -352,6 +352,21 @@ class TestCli:
         assert main(["all", "--n", "20"]) == 2
         assert "grid_points, n:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ex3", "--N", "0"], "N: must be >= 1"),
+        (["ex3", "--N", "-3"], "N: must be >= 1"),
+        (["properties", "--N", "-1"], "N: must be >= 1"),
+        (["ex1a", "--N", "1"], "N: must be >= 2 for the vector-valued scenarios"),
+    ])
+    def test_target_dimension_below_one_exit_two_without_running(self, monkeypatch, capsys,
+                                                                 argv, message):
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with N = {cfg.N}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flags", [["--N", "1000000000"], ["--n", "8", "--grid", "900"]])
     def test_oversized_jets_exit_two_without_running(self, monkeypatch, capsys, flags):
         # both pass the point cap: 2,001 and 1,968,300 points on ex1a's slab
