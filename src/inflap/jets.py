@@ -10,8 +10,6 @@ Taylor mode, elementwise, with the bits each float gets.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -29,7 +27,8 @@ __all__ = [
 ]
 
 
-#: most points one evaluation of a sampled field or of a profile's grid sees
+#: most points one evaluation of a sampled field or of a profile's grid sees,
+#: and most entries of one complex block in ``exp``
 BLOCK_POINTS = 4096
 
 
@@ -38,10 +37,25 @@ class EvaluationError(ValueError):
 
 
 def exp(x) -> np.ndarray:
-    """e**x elementwise through ``math.exp``: numpy's vectorized exp differs
-    from libm in the last bit for a few percent of arguments."""
+    """e**x elementwise, bit for bit equal to libm's ``exp`` (``math.exp``).
+
+    numpy's real ``exp`` differs from libm in the last bit for a few percent
+    of arguments; its complex ``exp`` at ``x + 0i`` does not, since both
+    C99 ``cexp`` and numpy's fallback form the real part as
+    ``exp(x) * cos(0)`` and cos(0) is exactly 1.  The complex form is
+    built one block of ``BLOCK_POINTS`` entries at a time, so no complex
+    array larger than a block exists; ``tests/test_jets.py`` guards the
+    identity on the ranges the profiles use.  Every caller passes
+    arguments <= 0; above about 709.78 the result is inf with numpy's
+    overflow warning, where ``math.exp`` raises ``OverflowError``.
+    """
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.exp, memoryview(x.ravel())), float, x.size).reshape(x.shape)
+    out = np.empty(x.shape)
+    flat_in, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, x.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        flat_out[block] = np.exp(flat_in[block].astype(complex)).real
+    return out
 
 
 def first_where(mask, values) -> float:

@@ -165,9 +165,24 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     # M = (1 + safety) * sup must exceed the sup, and M³ must stay finite
     if "safety" not in invalid and not (1.0 + cfg.safety > 1.0 and cfg.safety <= 1.0):
         errors.append(f"safety: must satisfy 1 + safety > 1 and safety <= 1, got {cfg.safety!r}")
+    # a tolerance is scale · M³ with M = (1 + safety) · sup|p'| < 2, since
+    # safety <= 1 and every profile has sup|p'| < 1; beyond that it is inf
+    # and its check passes vacuously
+    for name in ("residual_tol_scale", "fd_tol_scale"):
+        value = getattr(cfg, name)
+        if name not in invalid and not math.isfinite(value * 8.0):
+            errors.append(f"{name}: must keep the tolerance {name} * M³ finite for "
+                          f"M < 2, that is {name} * 8 < inf, got {value!r}")
     if not 16 <= cfg.cache_cells <= MAX_CACHE_CELLS:
         invalid.add("cache_cells")
         errors.append(f"cache_cells: must lie in [16, {MAX_CACHE_CELLS}], got {cfg.cache_cells!r}")
+    if spec is not None and not invalid & {"fd_step", "cross_extent"}:
+        # x ± fd_step must differ from x at the reach; the features have unit width
+        reach = _stencil_reach(cfg)
+        if not (reach + cfg.fd_step > reach and cfg.fd_step <= 1e-2):
+            invalid.add("fd_step")
+            errors.append(f"fd_step: must satisfy {reach!r} + fd_step > {reach!r} and "
+                          f"fd_step <= 0.01, got {cfg.fd_step!r}")
     polar = spec is not None and spec.build is _polar_spiral
     if polar and not invalid & {"t_max", "fd_step", "cache_cells"}:
         # the phase is tabulated on |t| <= t_max and sampled on the residual
@@ -181,12 +196,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             errors.append(
                 f"t_max: must lie in [{reach!r}, {top!r}] for {cfg.scenario}, got {cfg.t_max!r}"
             )
-    if spec is not None and not invalid & {"fd_step", "cross_extent"}:
-        # x ± fd_step must differ from x at the reach; the features have unit width
-        reach = _stencil_reach(cfg)
-        if not (reach + cfg.fd_step > reach and cfg.fd_step <= 1e-2):
-            errors.append(f"fd_step: must satisfy {reach!r} + fd_step > {reach!r} and "
-                          f"fd_step <= 0.01, got {cfg.fd_step!r}")
     if cfg.seed < 0:
         errors.append("seed: must be >= 0")
     if cfg.format not in ("json", "csv"):

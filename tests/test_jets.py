@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflap.jets import (
+    BLOCK_POINTS,
     EvaluationError,
     Jet2,
     jet_cos,
@@ -14,6 +16,8 @@ from inflap.jets import (
     jet_sin,
     jet_sqrt,
 )
+from inflap.jets import exp as jets_exp
+from inflap.profiles import _SEAM_CUTOFF
 
 from helpers import exact, fd_jet
 
@@ -39,6 +43,54 @@ def test_sqrt_domain_error():
         jet_sqrt(Jet2(0.0, 1.0, 0.0))
     with pytest.raises(EvaluationError, match=exact("sqrt of non-positive jet value -1.0")):
         jet_sqrt(Jet2(-1.0))
+
+
+def _libm_exp(x):
+    return np.array([math.exp(v) for v in np.ravel(x)]).reshape(np.shape(x))
+
+
+def _bump_exponents(rng, size):
+    # 1/d for d in [-1, _SEAM_CUTOFF), |d| log-uniform so every decade of (-690, -1] is drawn
+    d = -np.exp(rng.uniform(math.log(-_SEAM_CUTOFF), 0.0, size))
+    return 1.0 / d[d < _SEAM_CUTOFF]
+
+
+def _gaussian_exponents(rng, size):
+    # -t² out to where the largest accepted t_max tabulates rho, exp(-t²) >= the least normal
+    return -rng.uniform(0.0, math.sqrt(-math.log(sys.float_info.min)), size) ** 2
+
+
+def _subnormal_exponents(rng, size):
+    return rng.uniform(-745.2, -708.4, size)
+
+
+@pytest.mark.parametrize("draw, lo, hi", [
+    (_bump_exponents, -690.0, -1.0),
+    (_gaussian_exponents, -708.4, 0.0),
+    (_subnormal_exponents, -745.2, -708.4),
+], ids=["bump", "gaussian", "subnormal_result"])
+def test_exp_equals_libm_bit_for_bit(draw, lo, hi):
+    x = draw(np.random.default_rng(20261019), 120_000)
+    assert x.size >= 100_000 and lo <= x.min() and x.max() <= hi
+    assert np.array_equal(jets_exp(x).view(np.int64), _libm_exp(x).view(np.int64))
+
+
+def test_exp_special_values():
+    for v in (0.0, -0.0, -math.inf):
+        assert jets_exp(v).view(np.int64) == np.float64(math.exp(v)).view(np.int64)
+    assert np.isnan(jets_exp(math.nan))
+
+
+@pytest.mark.parametrize("x", [
+    np.float64(-0.5),
+    -np.arange(12.0).reshape(3, 4),
+    (-np.arange(24.0).reshape(3, 8))[:, ::2],
+    -np.linspace(0.0, 700.0, 2 * BLOCK_POINTS + 3),
+], ids=["0d", "2d", "non_contiguous", "ragged_blocks"])
+def test_exp_keeps_shape_and_layout(x):
+    e = jets_exp(x)
+    assert e.dtype == np.float64 and e.flags.c_contiguous and e.shape == np.shape(x)
+    assert np.array_equal(e.view(np.int64), _libm_exp(x).view(np.int64))
 
 
 def test_fd_jet_on_square():

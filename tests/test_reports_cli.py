@@ -390,6 +390,43 @@ class TestCli:
         assert main(["all", "--config", str(cfgfile)]) == 2
         assert "cache_cells:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config, name", [
+        (["ex1a", "--safety", "1", "--tol-scale", "1.7e308"], "", "residual_tol_scale"),
+        (["ex1b", "--safety", "1"], "fd_tol_scale=1e308\n", "fd_tol_scale"),
+    ])
+    def test_tolerance_scale_overflow_exit_two_without_running(self, tmp_path, monkeypatch,
+                                                               capsys, argv, config, name):
+        # scale * M³ rounded to inf, and a residual check against an inf tolerance passed
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with {name} = {getattr(cfg, name)}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(config)
+        assert main([*argv, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: must keep the tolerance") and err.count("\n") == 1
+
+    def test_largest_tolerance_scale_is_accepted(self):
+        largest = sys.float_info.max / 8.0
+        for name in SCENARIO_NAMES:
+            cfg = ScenarioConfig(scenario=name, safety=1.0, residual_tol_scale=largest,
+                                 fd_tol_scale=largest)
+            assert validate_config(cfg) == []
+
+    def test_out_of_range_fd_step_alone_is_reported(self, tmp_path, monkeypatch, capsys):
+        # the t_max range of ex2 was derived from the bad step and failed as well
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with fd_step = {cfg.fd_step}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("fd_step=10\n")
+        assert main(["ex2", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == (
+            "error: fd_step: must satisfy 1.5 + fd_step > 1.5 and fd_step <= 0.01, got 10.0\n"
+        )
+
     def test_largest_table_is_accepted(self):
         for name in SCENARIO_NAMES:
             cfg = ScenarioConfig(scenario=name, cache_cells=MAX_CACHE_CELLS)
