@@ -19,25 +19,21 @@ cross-section copies of each x1) and ``annulus_domain`` radius-major (the
 invariant axes keep that order.  A batch with no adjacent repeats is
 evaluated as it is.
 
-The finite-difference oracle shares the formulas across its stencil when
-the unshifted variable has adjacent repeats, as on slabs at n >= 2 and on
-annuli: it collapses each shifted batch's variable to its runs, evaluates
-the formulas once on their distinct values, and its ``value`` calls look
-their runs up there.  On an evaluation error it falls back to evaluating
-each shifted batch, so the error is the one the stencil's order meets
-first.  No cache outlives a call.
+The finite-difference oracle reads the variable of each shifted batch of
+its stencil once and keeps its runs; when the unshifted variable has
+adjacent repeats, as on slabs at n >= 2 and on annuli, the formulas run
+once on the distinct values of all shifts.  No cache outlives a call.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError, Jet2, jet_cos, jet_lift, jet_sin
+from .jets import EvaluationError, Jet2, jet_cos, jet_lift, jet_sin, sorted_distinct
 from .operators import row_norm
 from .profiles import ArcComplement, GaussianRho, PolarPhase, Profile
 
@@ -145,27 +141,28 @@ class _ProfileMap(VectorMap):
     def _variable(self, x):
         return self._scalar(x), np.eye(self.n)[0], np.zeros((self.n, self.n))
 
-    def value(self, x, *, components=None) -> np.ndarray:
-        """The map's values; ``components`` (default ``self._components``)
-        gives the formulas on the runs of the variable."""
-        s = self._scalar(x)
-        u, inv = _runs(s)
-        out = np.zeros(s.shape + (self.N,))
-        for a, v in enumerate((components or self._components)(u)):
+    def _values(self, u, inv, formulas):
+        """The map's values on every entry of a variable that ``_runs`` gave
+        as (u, inv), from the results of the formulas on u."""
+        out = np.zeros(np.shape(u if inv is None else inv) + (self.N,))
+        for a, v in enumerate(formulas):
             out[..., a] = _spread(v, inv)
         return out
+
+    def value(self, x) -> np.ndarray:
+        u, inv = _runs(self._scalar(x))
+        return self._values(u, inv, self._components(u))
 
     def map_jet(self, x) -> MapJet:
         s, ds, dds = self._variable(x)
         u, inv = _runs(s)
         jets = self._components(jet_lift(u))  # before the outputs: a lower peak
-        value = np.zeros(s.shape + (self.N,))
+        value = self._values(u, inv, [j.val for j in jets])
         jac = np.zeros(s.shape + (self.N, self.n))
         hess = np.zeros(s.shape + (self.N, self.n, self.n))
         outer = ds[..., :, None] * ds[..., None, :]
         for a, j in enumerate(jets):
             d1 = np.asarray(_spread(j.d1, inv))[..., None]
-            value[..., a] = _spread(j.val, inv)
             jac[..., a, :] = d1 * ds
             hess[..., a, :, :] = (np.asarray(_spread(j.d2, inv))[..., None, None] * outer
                                   + d1[..., None] * dds)
@@ -355,35 +352,34 @@ def _stencil(x, n: int, h: float):
         yield x - e[i] - e[j]
 
 
-def _stencil_components(map_obj: VectorMap, x, h: float):
-    """The profile formulas evaluated once on every distinct variable of the
-    stencil, as a ``components`` lookup for ``_ProfileMap.value``.  None,
-    for the per-shift path, when the map is no profile map, when the
-    unshifted variable has no adjacent repeats, or when an evaluation
-    fails: the per-shift path then raises the stencil's first error."""
+def _stencil_values(map_obj: VectorMap, x, h: float):
+    """The map's values on the shifted batches of ``_stencil``, in its
+    order, as ``finite_difference_map_jet`` describes."""
     if not isinstance(map_obj, _ProfileMap):
-        return None
+        return map(map_obj.value, _stencil(x, map_obj.n, h))
+
+    def shifts():
+        return map(_runs, map(map_obj._scalar, _stencil(x, map_obj.n, h)))
+
+    def values(runs, formulas=map_obj._components):
+        return (map_obj._values(u, inv, formulas(u)) for u, inv in runs)
+
+    runs = shifts()
+    first = next(runs)
+    if first[1] is None:
+        return values(itertools.chain([first], runs))
     try:
-        # the value calls build each shifted batch again: keeping the batches
-        # from here for them holds the whole stencil at once, a higher peak
-        shifts = (_runs(map_obj._scalar(p)) for p in _stencil(x, map_obj.n, h))
-        u, inv = next(shifts)
-        if inv is None:
-            return None
-        runs = np.concatenate([u, *(np.ravel(v) for v, _ in shifts)])
-        # np.unique's sorted distinct entries; on int64 numpy's unique takes a
-        # hash path several times slower than a sort and an adjacent compare
-        bits = np.sort(runs.view(np.int64))
-        bits = bits[np.concatenate([[True], bits[1:] != bits[:-1]])]
+        runs = [first, *runs]
+        bits = sorted_distinct(np.concatenate([np.ravel(u) for u, _ in runs]).view(np.int64))
         table = map_obj._components(bits.view(float))
     except EvaluationError:
-        return None
+        return values(shifts())
 
-    def lookup(s):
-        at = np.searchsorted(bits, np.asarray(s).view(np.int64))
-        return tuple(c[at] for c in table)
+    def look_up(u):
+        at = np.searchsorted(bits, u.view(np.int64))
+        return [c[at] for c in table]
 
-    return lookup
+    return values(runs, look_up)
 
 
 def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
@@ -391,22 +387,22 @@ def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
 
     Jacobian from two-point central differences; hessian diagonal from the
     three-point second difference and mixed entries from the four-point
-    cross stencil, symmetrized by construction; one ``value`` call on the
+    cross stencil, symmetrized by construction; the map's values on one
     shifted batch per stencil offset, 1 + 2n + 4·C(n, 2) in all.
 
-    A profile map whose unshifted variable has adjacent repeats (slabs at
-    n >= 2, annuli) shares its formulas across the stencil: they run once
-    on the distinct shifted variables, and each ``value`` call looks its
-    runs up there.  On an evaluation error, or with no repeats, every
-    ``value`` call evaluates its own batch.  Nothing outlives the call.
+    A profile map builds each shifted batch once and keeps only the runs of
+    its variable.  When the unshifted variable has adjacent repeats (slabs
+    at n >= 2, annuli) the formulas run once on the distinct values of all
+    shifts and each shift looks its runs up there; with no repeats, or on
+    an evaluation error there, each shift's runs are evaluated in stencil
+    order, so the error is the first that order meets.  Any other map gets
+    one ``value`` call per batch.  Nothing outlives the call.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = map_obj.n
-    components = _stencil_components(map_obj, x, h)
-    shared = {} if components is None else {"components": components}
-    values = map(functools.partial(map_obj.value, **shared), _stencil(x, n, h))
+    values = _stencil_values(map_obj, x, h)
     v0 = next(values)
     jac = np.empty(v0.shape + (n,))
     hess = np.empty(v0.shape + (n, n))

@@ -122,13 +122,6 @@ _POSITIVE_FIELDS = (
 )
 
 
-def _stencil_reach(cfg: ScenarioConfig) -> float:
-    """Largest |coordinate| of the construction's residual domain,
-    cross-section offsets included."""
-    kind, lo, hi = construction(cfg.scenario).residual_domain
-    return max(-lo, hi, 0.5 * cfg.cross_extent if kind == "slab" and cfg.n > 1 else 0.0)
-
-
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """Field-by-field validation; returns a list of error strings."""
     errors = []
@@ -177,12 +170,20 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         invalid.add("cache_cells")
         errors.append(f"cache_cells: must lie in [16, {MAX_CACHE_CELLS}], got {cfg.cache_cells!r}")
     if spec is not None and not invalid & {"fd_step", "cross_extent"}:
-        # x ± fd_step must differ from x at the reach; the features have unit width
-        reach = _stencil_reach(cfg)
+        # x ± fd_step must differ from x at the reach, the largest |coordinate|
+        # of the residual domain with its cross-section offsets; the features
+        # have unit width
+        kind, lo, hi = spec.residual_domain
+        half = 0.5 * cfg.cross_extent if kind == "slab" and cfg.n > 1 else 0.0
+        reach = max(-lo, hi, half)
         if not (reach + cfg.fd_step > reach and cfg.fd_step <= 1e-2):
             invalid.add("fd_step")
-            errors.append(f"fd_step: must satisfy {reach!r} + fd_step > {reach!r} and "
-                          f"fd_step <= 0.01, got {cfg.fd_step!r}")
+            names, got = "fd_step", repr(cfg.fd_step)
+            if half > max(-lo, hi):  # then a smaller cross_extent may be the only fix
+                names += ", cross_extent"
+                got += f" and cross_extent {cfg.cross_extent!r}, whose half is the reach"
+            errors.append(f"{names}: must satisfy {reach!r} + fd_step > {reach!r} and "
+                          f"fd_step <= 0.01, got {got}")
     polar = spec is not None and spec.build is _polar_spiral
     if polar and not invalid & {"t_max", "fd_step", "cache_cells"}:
         # the phase is tabulated on |t| <= t_max and sampled on the residual
@@ -564,6 +565,8 @@ def run_scenario(cfg: ScenarioConfig) -> CheckReport:
 
 
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def config_from_mapping(mapping: dict) -> ScenarioConfig:
@@ -581,10 +584,8 @@ def _coerce(name: str, raw):
     if not isinstance(raw, str):
         return raw
     kind = _FIELD_TYPES[name]
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{name}: cannot parse boolean from {raw!r}")
-    return kind(raw)
+    try:
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        kind_name = "boolean" if kind is bool else kind.__name__
+        raise ValueError(f"{name}: cannot parse {kind_name} from {raw!r}") from None

@@ -1,9 +1,12 @@
 """Batched evaluation gives every point the bits it gets on its own, and a
 failing batch names its first failing point in domain order.  Runs of equal
 scalar variables, as the domains emit them, are evaluated once, and the FD
-oracle evaluates each distinct shifted variable of its stencil once."""
+oracle reads each shifted batch of its stencil once and evaluates each
+distinct shifted variable once."""
 
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from inflap.checkers import (
     CheckEvaluationError,
     DomainSpec,
+    annulus_domain,
     conservation_check,
     directional_check,
     hull_check,
@@ -250,16 +254,31 @@ def test_a_batch_without_repeats_is_evaluated_as_it_is():
         assert np.size(a) == len(pts) and np.shares_memory(a, pts)
 
 
-def _count_calls(u):
-    """Record the points of each call of the map's ``value``."""
+def _count_scalar_reads(u):
+    """Record the points of each call of the map's ``_scalar``, which reads
+    the scalar variable of one batch."""
     calls = []
 
-    def counted(x, method=u.value, **kwargs):
+    def counted(x, method=u._scalar):
         calls.append(x)
-        return method(x, **kwargs)
+        return method(x)
 
-    u.value = counted
+    u._scalar = counted
     return calls
+
+
+@pytest.mark.parametrize("name, domain", [
+    ("curve_n3", lambda: slab_domain(-3.0, 3.0, n=3, grid_points=201)),
+    ("curve_n1", lambda: slab_domain(-3.0, 3.0, n=1, grid_points=201)),
+    ("radial_n3", lambda: annulus_domain(1.0, 3.0, n=3, grid_points=201)),
+], ids=["slab_n3_repeats", "slab_n1_no_repeats", "annulus_n3"])
+def test_fd_oracle_reads_each_shifted_batch_once(maps, name, domain):
+    u = copy.copy(maps[name])
+    pts, h = domain().interior, 1e-4
+    calls = _count_scalar_reads(u)
+    finite_difference_map_jet(u, pts, h=h)
+    assert len(calls) == 1 + 2 * u.n + 4 * math.comb(u.n, 2)
+    np.testing.assert_array_equal(calls[0], pts)
 
 
 def test_fd_oracle_evaluates_each_distinct_shifted_variable_once(maps):
@@ -270,7 +289,7 @@ def test_fd_oracle_evaluates_each_distinct_shifted_variable_once(maps):
     # the shifts along x2 and x3 add 0.0 to x1
     shifted = np.concatenate([x1, x1 + h, x1 - h, x1 + 0.0])
     distinct = np.unique(shifted.view(np.int64))
-    calls = _count_calls(u)
+    calls = _count_scalar_reads(u)
     args = _record_arguments(w1)
     finite_difference_map_jet(u, d.interior, h=h)
     assert len(calls) == 1 + 2 * 3 + 4 * 3
@@ -287,7 +306,7 @@ def test_fd_oracle_without_repeats_evaluates_every_shift():
     w1 = BumpW1()
     u = ScalarProfileMap(w1, n=1)
     pts = slab_domain(-3.0, 3.0, n=1, grid_points=201).interior
-    calls = _count_calls(u)
+    calls = _count_scalar_reads(u)
     args = _record_arguments(w1)
     finite_difference_map_jet(u, pts, h=1e-4)
     assert len(calls) == 3

@@ -427,6 +427,35 @@ class TestCli:
             "error: fd_step: must satisfy 1.5 + fd_step > 1.5 and fd_step <= 0.01, got 10.0\n"
         )
 
+    @pytest.mark.parametrize("config, message", [
+        ("n=abc\n", "n: cannot parse int from 'abc'"),
+        ("safety=x\n", "safety: cannot parse float from 'x'"),
+    ], ids=["int", "float"])
+    def test_unparsable_value_names_its_key(self, tmp_path, monkeypatch, capsys, config,
+                                            message):
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with an unparsable {config!r}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(config)
+        assert main(["ex1a", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_cross_extent_setting_the_reach_is_named(self, tmp_path, monkeypatch, capsys):
+        # half the cross_extent is the reach, and no fd_step up to 0.01 moves 5e19
+        def never(cfg):
+            pytest.fail(f"ran {cfg.scenario} with cross_extent = {cfg.cross_extent}")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("cross_extent=1e20\n")
+        assert main(["ex1a", "--n", "2", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == (
+            "error: fd_step, cross_extent: must satisfy 5e+19 + fd_step > 5e+19 and "
+            "fd_step <= 0.01, got 0.0001 and cross_extent 1e+20, whose half is the reach\n"
+        )
+
     def test_largest_table_is_accepted(self):
         for name in SCENARIO_NAMES:
             cfg = ScenarioConfig(scenario=name, cache_cells=MAX_CACHE_CELLS)
