@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import max_outside_distance
-from .jets import BLOCK_POINTS, EvaluationError, sorted_distinct
+from .jets import BLOCK_POINTS, EvaluationError, merge_distinct
 from .operators import perturbed_scalar, row_norm, tangential
 
 __all__ = [
@@ -76,7 +76,7 @@ class DomainSpec:
 
 
 def _with_witnesses(values: np.ndarray, witnesses, lo: float, hi: float) -> np.ndarray:
-    return sorted_distinct(np.concatenate([values, [w for w in witnesses if lo < w < hi]]))
+    return merge_distinct(values, [w for w in witnesses if lo < w < hi])
 
 
 def _cross_sections(n: int, extent: float) -> np.ndarray:

@@ -19,6 +19,7 @@ __all__ = [
     "exp",
     "first_where",
     "sorted_distinct",
+    "merge_distinct",
     "jet_lift",
     "jet_exp",
     "jet_sin",
@@ -28,7 +29,8 @@ __all__ = [
 
 
 #: most points one evaluation of a sampled field or of a profile's grid sees,
-#: and most entries of one complex block in ``exp``
+#: most cells one panel batch of a table build integrates, and most entries
+#: of one complex block in ``exp``
 BLOCK_POINTS = 4096
 
 
@@ -72,6 +74,20 @@ def sorted_distinct(a) -> np.ndarray:
     keep[:1] = True
     keep[1:] = s[1:] != s[:-1]
     return s[keep]
+
+
+def merge_distinct(grid: np.ndarray, extra) -> np.ndarray:
+    """``sorted_distinct(np.concatenate([grid, extra]))`` for a sorted,
+    distinct 1-D ``grid`` and a few ``extra`` values without NaN.
+
+    Each extra value not already in the grid is inserted at its place,
+    so the grid is neither concatenated nor sorted again: the one array of
+    the grid's size this makes is the result.
+    """
+    extra = sorted_distinct(np.asarray(extra, dtype=float))
+    at = np.searchsorted(grid, extra, side="left")
+    new = np.searchsorted(grid, extra, side="right") == at
+    return np.insert(grid, at[new], extra[new])
 
 
 class Jet2:

@@ -156,7 +156,8 @@ class _CumulativeTable:
     Nodes are exact multiples j*step so that j = 0 lands on t = 0 with a
     stored value of exactly 0.  Each cell is integrated with one
     Kronrod-15 panel; the cells are narrow enough that the panel is exact
-    to roundoff for the smooth integrands used here.
+    to roundoff for the smooth integrands used here.  The panels are
+    evaluated on consecutive blocks of at most BLOCK_POINTS cells.
     """
 
     def __init__(self, integrand, lo: float, hi: float, cells: int):
@@ -169,7 +170,10 @@ class _CumulativeTable:
         self.j_hi = math.ceil(hi / self.step)
         self.integrand = integrand
         j = np.arange(self.j_lo, self.j_hi)
-        panel, _ = gauss_kronrod_15(integrand, j * self.step, (j + 1) * self.step)
+        blocks = (j[k : k + BLOCK_POINTS] for k in range(0, len(j), BLOCK_POINTS))
+        panel = np.concatenate([
+            gauss_kronrod_15(integrand, jb * self.step, (jb + 1) * self.step)[0] for jb in blocks
+        ])
         anchor = -self.j_lo  # index of node j = 0
         # sequential running sums outward from the anchor node
         cum = np.zeros(len(panel) + 1)
@@ -327,23 +331,48 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return max(fc, fd)
 
 
+def _grid_nodes(a: float, b: float, samples: int, start: int, stop: int) -> np.ndarray:
+    """Nodes start to stop - 1 of ``np.linspace(a, b, samples)``, bit for bit:
+    k·step + a with step = (b - a)/(samples - 1), and the last node exactly b."""
+    step = (b - a) / (samples - 1) if samples > 1 else 0.0
+    nodes = np.arange(start, stop, dtype=float)
+    nodes *= step
+    nodes += a
+    if samples > 1 and stop == samples:
+        nodes[-1] = b
+    return nodes
+
+
+def _grid_argmax_abs_d1(profile: Profile, a: float, b: float, samples: int) -> tuple[int, float]:
+    """The index and value of ``np.argmax`` of |profile'| on
+    ``np.linspace(a, b, samples)``: the grid is formed and reduced
+    BLOCK_POINTS nodes at a time by a running maximum in which the first
+    index wins a tie and the first NaN wins outright, so no array of the
+    grid's size exists."""
+    best, i = -math.inf, 0
+    for start in range(0, samples, BLOCK_POINTS):
+        stop = min(start + BLOCK_POINTS, samples)
+        vals = np.abs(profile.d1(_grid_nodes(a, b, samples, start, stop)))
+        j = int(np.argmax(vals))
+        if vals[j] > best or (math.isnan(vals[j]) and not math.isnan(best)):
+            best, i = float(vals[j]), start + j
+    return i, best
+
+
 def estimate_sup_abs_d1(
     profile: Profile,
     interval: tuple[float, float] | None = None,
     samples: int = 100_000,
 ) -> float:
-    """Dense-grid maximum of |profile'| refined by a golden-section polish;
-    the grid is evaluated BLOCK_POINTS nodes at a time."""
+    """Dense-grid maximum of |profile'| refined by a golden-section polish
+    between the maximizing node's two neighbours."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     a, b = interval if interval is not None else profile.sup_search_interval
-    ts = np.linspace(a, b, samples)
-    vals = np.concatenate([
-        np.abs(profile.d1(ts[k : k + BLOCK_POINTS])) for k in range(0, samples, BLOCK_POINTS)
-    ])
-    i = int(np.argmax(vals))
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, samples - 1)])
-    polished = _golden_max(lambda t: float(abs(profile.d1(t))), lo, hi)
-    return max(float(vals[i]), polished)
+    i, best = _grid_argmax_abs_d1(profile, a, b, samples)
+    around = _grid_nodes(a, b, samples, max(i - 1, 0), min(i + 1, samples - 1) + 1)
+    polished = _golden_max(lambda t: float(abs(profile.d1(t))), float(around[0]), float(around[-1]))
+    return max(best, polished)
 
 
 def choose_M(

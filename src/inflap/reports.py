@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .jets import sorted_distinct
+from .jets import merge_distinct
 from .scenarios import CheckReport, construction
 
 __all__ = [
@@ -204,10 +204,7 @@ def emit_profile_tables(dir_path: str, scenarios, grid_points: int) -> list[str]
     hit the analytic ones (±1/e for the bumps, 1 for the Gaussian peak).
     """
     classes = dict.fromkeys(construction(sc).profile for sc in scenarios)
-    ts = sorted_distinct(np.concatenate([
-        np.linspace(*_TABLE_RANGE, grid_points),
-        np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
-    ]))
+    ts = merge_distinct(np.linspace(*_TABLE_RANGE, grid_points), [-2.0, -1.0, 0.0, 1.0, 2.0])
     os.makedirs(dir_path, exist_ok=True)
     written = []
     for cls in classes:

@@ -91,7 +91,8 @@ MAX_DOMAIN_POINTS = 2_000_000
 #: bounds a run's work and the (points, N) value field
 MAX_HESSIAN_ENTRIES = 20_000_000
 #: most cells of a cumulative-integral table: its build evaluates 15 nodes a
-#: cell at once, about 140 bytes a cell at its peak
+#: cell in blocks of jets.BLOCK_POINTS cells and keeps 32 bytes a cell at its peak
+#: (indices, panels and running sums), so the cap bounds that and its time
 MAX_CACHE_CELLS = 1 << 20
 
 

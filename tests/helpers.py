@@ -5,7 +5,7 @@ import re
 import numpy as np
 
 from inflap.checkers import DomainSpec, residual_norm, sample
-from inflap.jets import Jet2
+from inflap.jets import Jet2, sorted_distinct
 from inflap.maps import TrigQuadMap, finite_difference_map_jet
 from inflap.operators import grad_norm_sq
 
@@ -58,6 +58,12 @@ def box_domain(intervals, grid_points: int = 11) -> DomainSpec:
         on_face |= (grid[:, i] == lo) | (grid[:, i] == hi)
     label = "box(" + ",".join(f"[{lo:g},{hi:g}]" for lo, hi in intervals) + ")"
     return DomainSpec(label, grid[~on_face], grid[on_face])
+
+
+def merged_reference(grid, extra) -> np.ndarray:
+    """The grid with the extra values merged in, by concatenating and
+    sorting again: the reference for ``jets.merge_distinct``."""
+    return sorted_distinct(np.concatenate([grid, np.asarray(extra, dtype=float)]))
 
 
 def refine_abscissas(ts) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from inflap.checkers import (
     slab_domain,
 )
 from inflap.hull import max_outside_distance
+from inflap.jets import merge_distinct
 from inflap.maps import (
     CurveMap,
     MapJet,
@@ -37,7 +39,13 @@ from inflap.profiles import (
 from inflap.scenarios import ScenarioConfig, construction
 
 from helpers import (
-    affine_map, box_domain, exact, refine_abscissas, sampled_grad_sq, sampled_residuals,
+    affine_map,
+    box_domain,
+    exact,
+    merged_reference,
+    refine_abscissas,
+    sampled_grad_sq,
+    sampled_residuals,
 )
 
 INV_E = math.exp(-1.0)
@@ -116,6 +124,51 @@ class TestDomains:
     def test_degenerate_slab_rejected(self):
         with pytest.raises(ValueError):
             slab_domain(1.0, 1.0)
+
+
+class TestWitnessMerge:
+    """``merge_distinct`` inserts witnesses into the sorted, distinct grid and
+    gives the bits of concatenating and sorting again."""
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        [0.0, 1.0, -1.0, 2.0],  # the scenario witnesses; 0 and ±1 are grid nodes
+        [0.5, 0.5, 0.25, 0.5],  # repeated, and between nodes
+        [-3.0, 3.0, -7.5, 9.0],  # at and outside the ends
+        [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0],
+    ])
+    @pytest.mark.parametrize("grid", [
+        np.linspace(-3.0, 3.0, 601),
+        np.linspace(-3.0, 3.0, 2)[1:-1],  # the empty interior of grid_points=2
+        np.array([0.5]),
+    ], ids=["grid601", "empty", "one"])
+    def test_equals_concatenate_and_sort(self, grid, extra):
+        merged = merge_distinct(grid, extra)
+        assert merged.tobytes() == merged_reference(grid, extra).tobytes()
+
+    @pytest.mark.parametrize("grid_points", [2, 3, 11, 2001])
+    def test_domains_equal_the_reference_grid(self, grid_points):
+        ts = np.linspace(-1.0, 2.0, grid_points)
+        interior = ts[(ts > -1.0) & (ts < 2.0)]
+        inside = [w for w in (*WITNESSES, 0.5, 0.5) if -1.0 < w < 2.0]
+        expected = merged_reference(interior, inside)
+        slab = slab_domain(-1.0, 2.0, grid_points=grid_points, witnesses=(*WITNESSES, 0.5, 0.5))
+        assert slab.interior[:, 0].tobytes() == expected.tobytes()
+        rs = np.linspace(0.5, 2.0, grid_points)
+        inside = [w for w in WITNESSES if 0.5 < w < 2.0]
+        expected = merged_reference(rs[(rs > 0.5) & (rs < 2.0)], inside)
+        annulus = annulus_domain(0.5, 2.0, n=1, grid_points=grid_points, witnesses=WITNESSES)
+        assert annulus.interior[::2, 0].tobytes() == expected.tobytes()
+
+    def test_slab_traced_peak(self):
+        # concatenating and sorting again peaked at 2.05 MB here
+        tracemalloc.start()
+        try:
+            slab_domain(-3.0, 3.0, grid_points=50_001, witnesses=WITNESSES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestResidualCertify:

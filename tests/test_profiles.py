@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from inflap.jets import EvaluationError, Jet2, jet_lift
+from inflap.jets import BLOCK_POINTS, EvaluationError, Jet2, jet_lift
 from inflap.profiles import (
     ArcComplement,
     BumpW1,
@@ -12,6 +13,8 @@ from inflap.profiles import (
     PolarPhase,
     Profile,
     SpeedBound,
+    _grid_argmax_abs_d1,
+    _grid_nodes,
     choose_M,
     estimate_sup_abs_d1,
 )
@@ -137,6 +140,73 @@ class TestSupEstimate:
 
     def test_constant_profile_sup_is_zero(self):
         assert estimate_sup_abs_d1(_ConstantProfile(), samples=1000) == 0.0
+
+
+class _Spikes(Profile):
+    """|d1| is 0 except at the given integer nodes of linspace(0, 3B, 3B + 1)."""
+
+    sup_search_interval = (0.0, 3.0 * BLOCK_POINTS)
+
+    def __init__(self, spikes):
+        self.spikes = spikes
+
+    def d1(self, t):
+        out = np.zeros(np.shape(t))
+        for node, value in self.spikes.items():
+            out[np.asarray(t) == node] = value
+        return out
+
+
+def _whole_grid_argmax(profile, samples=100_000):
+    vals = np.abs(profile.d1(np.linspace(*profile.sup_search_interval, samples)))
+    i = int(np.argmax(vals))
+    return i, float(vals[i])
+
+
+class TestStreamedSupSearch:
+    """The block-wise sup search reduces to np.argmax over the whole grid
+    without holding an array of the grid's size."""
+
+    @pytest.mark.parametrize("profile", [BumpW1(), BumpZ1(), GaussianRho()], ids=lambda p: p.kind)
+    def test_equals_whole_grid_argmax(self, profile):
+        a, b = profile.sup_search_interval
+        assert _grid_argmax_abs_d1(profile, a, b, 100_000) == _whole_grid_argmax(profile)
+
+    @pytest.mark.parametrize("spikes, expected", [
+        # a tie across the first block boundary keeps the first index
+        ({BLOCK_POINTS - 1: 2.0, BLOCK_POINTS: -2.0, 2 * BLOCK_POINTS + 5: 2.0}, BLOCK_POINTS - 1),
+        # the first NaN wins, even after a larger value and before a second NaN
+        ({7.0: 5.0, BLOCK_POINTS + 3: math.nan, 2 * BLOCK_POINTS: math.nan}, BLOCK_POINTS + 3),
+    ], ids=["tie", "nan"])
+    def test_first_index_as_argmax(self, spikes, expected):
+        profile = _Spikes(spikes)
+        samples = 3 * BLOCK_POINTS + 1
+        i, value = _grid_argmax_abs_d1(profile, *profile.sup_search_interval, samples)
+        j, whole = _whole_grid_argmax(profile, samples)
+        assert i == j == expected
+        assert np.array_equal(value, whole, equal_nan=True)
+
+    @pytest.mark.parametrize("interval", [BumpW1.sup_search_interval, BumpZ1.sup_search_interval,
+                                          GaussianRho.sup_search_interval])
+    @pytest.mark.parametrize("samples", [1, 2, BLOCK_POINTS, 12_345, 100_000])
+    def test_nodes_are_linspace(self, interval, samples):
+        blocks = [_grid_nodes(*interval, samples, k, min(k + BLOCK_POINTS, samples))
+                  for k in range(0, samples, BLOCK_POINTS)]
+        assert np.concatenate(blocks).tobytes() == np.linspace(*interval, samples).tobytes()
+
+    def test_traced_peak_is_flat_in_the_grid(self):
+        # one grid-sized pass peaked at 2.40 MB at 100,000 nodes, 9.61 MB at 400,000
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                choose_M(BumpW1(), samples=samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(400_000)
+        assert small < 0.6e6
+        assert large < 1.1 * small
 
 
 class TestChooseM:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from inflap import cli, scenarios
 from inflap.cli import main
 from inflap.jets import EvaluationError
-from inflap.profiles import BumpW1
+from inflap.profiles import BumpW1, BumpZ1, GaussianRho
 from inflap.reports import (
     CSV_HEADER,
     dumps_canonical,
@@ -35,6 +35,8 @@ from inflap.scenarios import (
     run_scenario,
     validate_config,
 )
+
+from helpers import merged_reference
 
 INV_E = math.exp(-1.0)
 
@@ -627,6 +629,19 @@ class TestProfileTables:
         ])
         assert code == 0
         assert (out_dir / "rho_star.csv").exists()
+
+    @pytest.mark.parametrize("grid_points", [2, 800, 801])
+    def test_abscissas_equal_the_reference_merge(self, tmp_path, grid_points):
+        # 801 nodes hold the five witnesses, 800 do not, 2 are the ends alone
+        ts = merged_reference(np.linspace(-4.0, 4.0, grid_points), [-2.0, -1.0, 0.0, 1.0, 2.0])
+        for path in emit_profile_tables(tmp_path, ["ex1a", "ex1b", "ex2"], grid_points):
+            with open(path) as fh:
+                rows = list(csv.DictReader(fh))
+            profile = {"w1": BumpW1, "z1": BumpZ1, "rho_star": GaussianRho}[
+                os.path.basename(path).removesuffix(".csv")]()
+            t, value = (np.array([float(r[k]) for r in rows]) for k in ("t", "value"))
+            assert t.tobytes() == ts.tobytes()
+            assert value.tobytes() == profile.value(ts).tobytes()
 
     def test_tables_follow_the_construction_registry(self, tmp_path):
         def written(scenarios, out_dir):
