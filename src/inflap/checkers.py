@@ -165,7 +165,8 @@ class PrincipleVerdict:
 
     max_violation_margin = sup_interior - max_boundary; a strictly positive
     margin certifies failure of the maximum principle on the sampled
-    domain.  min_violation_margin mirrors this for the minimum principle.
+    domain, which max_violation flags.  min_violation_margin and
+    min_violation mirror this for the minimum principle.
     """
 
     sup_interior: float
@@ -177,14 +178,8 @@ class PrincipleVerdict:
     witness_sup: np.ndarray | None
     witness_inf: np.ndarray | None
     domain: str
-
-    @property
-    def max_violation(self) -> bool:
-        return self.max_violation_margin > 0.0
-
-    @property
-    def min_violation(self) -> bool:
-        return self.min_violation_margin > 0.0
+    max_violation: bool
+    min_violation: bool
 
 
 @dataclass
@@ -206,10 +201,7 @@ class ConservationReport:
     worst_point: np.ndarray | None
     domain: str
     tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tol
+    passed: bool
 
 
 def sample(f, domain: DomainSpec):
@@ -297,16 +289,19 @@ def max_principle_check(values: np.ndarray, domain: DomainSpec) -> PrincipleVerd
     inf_i, w_inf = _at(inner, domain.point, np.argmin, math.inf)
     max_b, _ = _at(outer, lambda i: domain.point(m + i), np.argmax, -math.inf)
     min_b, _ = _at(outer, lambda i: domain.point(m + i), np.argmin, math.inf)
+    max_margin, min_margin = sup_i - max_b, min_b - inf_i
     return PrincipleVerdict(
         sup_interior=sup_i,
         max_boundary=max_b,
         inf_interior=inf_i,
         min_boundary=min_b,
-        max_violation_margin=sup_i - max_b,
-        min_violation_margin=min_b - inf_i,
+        max_violation_margin=max_margin,
+        min_violation_margin=min_margin,
         witness_sup=w_sup,
         witness_inf=w_inf,
         domain=domain.label,
+        max_violation=max_margin > 0.0,
+        min_violation=min_margin > 0.0,
     )
 
 
@@ -339,4 +334,4 @@ def conservation_check(
 ) -> ConservationReport:
     """Max deviation of |Du|², sampled on the domain, from its constant target."""
     max_dev, worst = _at(np.abs(grad_sq - target_sq), domain.point, np.argmax, 0.0)
-    return ConservationReport(max_dev, target_sq, worst, domain.label, tol)
+    return ConservationReport(max_dev, target_sq, worst, domain.label, tol, max_dev <= tol)

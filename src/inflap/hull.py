@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import BLOCK_POINTS
+from .jets import BLOCK_POINTS, sorted_distinct
 from .operators import row_norm
 
 __all__ = ["point_segment_distance", "max_outside_distance"]
@@ -30,13 +30,9 @@ def point_segment_distance(p, a, b):
 def _segment_ends(points) -> np.ndarray:
     """The distinct rows of points, (x, y) ordered: the one or two points
     whose segment is their hull.  ValueError for none or more than two."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    # np.unique(axis=0)'s distinct rows in (x, y) order, without its numpy.ma import
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    keep = np.empty(len(pts), dtype=bool)
-    keep[:1] = True
-    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    pts = pts[keep]
+    # each row as one complex x + iy, which np.sort orders by x, then y
+    rows = np.ascontiguousarray(points, dtype=float).reshape(-1, 2).view(complex)[:, 0]
+    pts = sorted_distinct(rows).view(float).reshape(-1, 2)
     if not 1 <= len(pts) <= 2:
         raise ValueError(f"boundary image has {len(pts)} distinct points; expected 1 or 2")
     return pts

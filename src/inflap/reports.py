@@ -72,8 +72,18 @@ def dumps_canonical(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def _point(p) -> list | None:
-    return None if p is None else np.asarray(p, dtype=float).tolist()
+#: record fields whose report key differs from the field name
+_REPORT_KEYS = {
+    "passed": "pass",
+    "n_points": "points",
+    "max_violation_margin": "margin",
+    "min_violation_margin": "min_margin",
+}
+
+
+def _section(record, *omit: str) -> dict:
+    """A record's fields under their report keys, without those in omit."""
+    return {_REPORT_KEYS.get(k, k): v for k, v in vars(record).items() if k not in omit}
 
 
 def _status(passed: bool) -> str:
@@ -87,79 +97,45 @@ def _format_cell(v) -> str:
 
 
 def _render(report: CheckReport) -> tuple[dict, list[tuple]]:
-    """JSON sections and CSV rows of one report, each check's section and
-    row rendered together from its result record."""
+    """JSON sections and CSV rows of one report: each section lists its
+    check record's fields, and each check's row reads its value, threshold
+    ("tol") and status ("pass" unless given) from that section."""
     name = report.config.scenario
-    sections = {"speed_bound": asdict(report.speed_bound)}
+    sections = {"speed_bound": _section(report.speed_bound)}
     rows = []
 
-    def row(check, domain, metric, value, threshold, status):
-        rows.append((name, check, domain, metric, _format_cell(value), _format_cell(threshold), status))
+    def row(check, domain, section, metric, status=None):
+        rows.append((name, check, domain, metric, _format_cell(section[metric]),
+                     _format_cell(section.get("tol", "")), status or _status(section["pass"])))
 
     if report.residual:
-        residual = sections["residual"] = {"domain": report.residual[0].domain}
+        domain = report.residual[0].domain
+        residual = sections["residual"] = {"domain": domain}
         for r in report.residual:
-            residual[r.jet_source] = {
-                "sup_residual": r.sup_residual,
-                "tol": r.tol,
-                "pass": r.passed,
-                "worst_point": _point(r.worst_point),
-                "points": r.n_points,
-                "jet_source": r.jet_source,
-            }
-            row(f"residual_{r.jet_source}", r.domain, "sup_residual",
-                r.sup_residual, r.tol, _status(r.passed))
-    c = report.conservation
-    if c is not None:
-        sections["conservation"] = {
-            "domain": c.domain,
-            "max_dev": c.max_dev,
-            "tol": c.tol,
-            "pass": c.passed,
-            "target_sq": c.target_sq,
-            "worst_point": _point(c.worst_point),
-        }
-        row("conservation", c.domain, "max_dev", c.max_dev, c.tol, _status(c.passed))
+            s = residual[r.jet_source] = _section(r, "domain")
+            row(f"residual_{r.jet_source}", domain, s, "sup_residual")
+    if report.conservation is not None:
+        s = sections["conservation"] = _section(report.conservation)
+        row("conservation", s["domain"], s, "max_dev")
     if report.principle:
         principle = sections["principle"] = {}
         for key in sorted(report.principle):
-            v = report.principle[key]
-            principle[key] = {
-                "domain": v.domain,
-                "sup_interior": v.sup_interior,
-                "max_boundary": v.max_boundary,
-                "inf_interior": v.inf_interior,
-                "min_boundary": v.min_boundary,
-                "margin": v.max_violation_margin,
-                "min_margin": v.min_violation_margin,
-                "max_violation": v.max_violation,
-                "min_violation": v.min_violation,
-                "witness_sup": _point(v.witness_sup),
-                "witness_inf": _point(v.witness_inf),
-            }
-            row(f"principle_{key}", v.domain, "margin", v.max_violation_margin, "", "info")
-    h = report.hull
-    if h is not None:
-        sections["hull"] = {
-            "domain": h.domain,
-            "contained": h.contained,
-            "max_outside_distance": h.max_outside_distance,
-            "tol": h.tol,
-            "witness_point": _point(h.witness_point),
-            "witness_image": _point(h.witness_image),
-        }
-        row("hull", h.domain, "max_outside_distance", h.max_outside_distance, h.tol,
-            "contained" if h.contained else "outside")
+            s = principle[key] = _section(report.principle[key])
+            row(f"principle_{key}", s["domain"], s, "margin", "info")
+    if report.hull is not None:
+        s = sections["hull"] = _section(report.hull)
+        row("hull", s["domain"], s, "max_outside_distance",
+            "contained" if s["contained"] else "outside")
     if report.properties:
         properties = sections["properties"] = {}
         for key in sorted(report.properties):
             p = report.properties[key]
-            properties[key] = p.stats
-            row(f"property_{key}", "", p.metric, p.stats[p.metric],
-                p.stats.get("tol", ""), _status(p.stats["pass"]))
+            s = properties[key] = p.stats
+            row(f"property_{key}", "", s, p.metric)
     if report.assessment is not None:
         sections["assessment"] = report.assessment
-    row("overall", "", "overall_pass", report.overall_pass, "", _status(report.overall_pass))
+    row("overall", "", {"overall_pass": report.overall_pass}, "overall_pass",
+        _status(report.overall_pass))
     return sections, rows
 
 

@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
 
@@ -36,3 +38,24 @@ def test_setup_probe_runs():
     proc = _run(["benchmarks/setup_probe.py", "all"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["setup_s"] > 0.0
+
+
+@pytest.mark.parametrize("args", [
+    ["--workload", "all", "--seconds", "0", "--trace", "0"],
+    ["--workload", "all_default", "--seconds", "0", "--seed", "1"],
+    ["--workload", "all_default", "--seconds", "0", "--seed", "17"],
+], ids=["all", "all_default-seed1", "all_default-seed17"])
+def test_benchmark_result_line(args):
+    # run.py exits 0 even when every verify process of a workload fails (its
+    # result then holds setup_s only), so the last line itself is checked
+    proc = _run(["benchmarks/run.py", *args])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    workloads = [w["name"] for w in spec["workloads"]] if args[1] == "all" else [args[1]]
+    assert result["attempted"] >= len(workloads)
+    expected = {f"{w}.{m}" for w in workloads for m in metrics} if args[1] == "all" else metrics
+    assert set(expected) <= set(result["metrics"]), result

@@ -17,7 +17,7 @@ from inflap.checkers import (
     sample,
     slab_domain,
 )
-from inflap.hull import max_outside_distance
+from inflap.hull import _segment_ends, max_outside_distance
 from inflap.jets import merge_distinct
 from inflap.maps import (
     CurveMap,
@@ -360,6 +360,36 @@ class TestHullGeometry:
         assert dist == pytest.approx(math.sqrt(0.5))
         # past an end, the distance is to that end
         assert max_outside_distance([(3.0, 2.0)], boundary) == (1.0, 0)
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)],
+        [(0.5, 2.0), (-1.0, 0.0), (0.5, 2.0), (-1.0, 0.0)],
+        [(0.0, 1.0), (-0.0, 1.0)],
+        [(-0.0, 0.5), (0.0, 0.5), (2.0, -0.0), (2.0, 0.0)],
+        [(0.5, 2.0), (0.5, -1.0)],
+    ], ids=["repeated", "two-repeated", "signed-zero", "signed-zero-pair", "same-x"])
+    def test_segment_ends_are_the_unique_rows(self, rows):
+        rows = np.asarray(rows)
+        ends = _segment_ends(rows)
+        assert ends.tolist() == np.unique(rows, axis=0).tolist()
+        # a strided slice, as hull_check passes, gives the same rows
+        wide = np.zeros((len(rows), 3))
+        wide[:, :2] = rows
+        assert _segment_ends(wide[:, :2]).tolist() == ends.tolist()
+
+    def test_segment_ends_match_unique_on_random_images(self):
+        rng = np.random.default_rng(23)
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+        for _ in range(2000):
+            rows = values[rng.integers(len(values), size=(rng.integers(1, 8), 2))]
+            unique = np.unique(rows, axis=0)
+            if len(unique) > 2:
+                with pytest.raises(ValueError, match=exact(
+                    f"boundary image has {len(unique)} distinct points; expected 1 or 2"
+                )):
+                    _segment_ends(rows)
+            else:
+                assert _segment_ends(rows).tolist() == unique.tolist()
 
     def test_single_point_hull(self):
         boundary = [(1.0, 2.0), (1.0, 2.0)]

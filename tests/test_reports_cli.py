@@ -170,6 +170,49 @@ class TestReportEmission:
             assert all(r[0] == name for r in rows[1:])
             assert len(report_rows(report)) == len(rows) - 1
 
+    @pytest.mark.parametrize("args", [["all", "--grid", "51", "--n", "2"],
+                                      ["properties", "--seed", "3"]])
+    def test_csv_rows_equal_their_json_leaves(self, args, tmp_path):
+        # each row's value and threshold are the .17g text of the JSON leaves
+        # its check and metric name, and its status is that section's flag
+        paths = {fmt: tmp_path / f"report.{fmt}" for fmt in ("json", "csv")}
+        for fmt, path in paths.items():
+            assert main([*args, "--format", fmt, "--no-timings", "--out", str(path)]) == 0
+        reports = {r["scenario"]: r for r in json.loads(paths["json"].read_text())["reports"]}
+        rows = list(csv.DictReader(io.StringIO(paths["csv"].read_text())))
+
+        def text(leaf):  # a JSON leaf as CSV text; a missing leaf is ""
+            if isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
+                return format(leaf, ".17g")
+            return "" if leaf is None else str(leaf)
+
+        def flag(passed):
+            return "pass" if passed else "fail"
+
+        for row in rows:
+            report = reports[row["scenario"]]
+            kind, _, key = row["check"].partition("_")
+            if kind == "residual":
+                section, domain = report["residual"][key], report["residual"]["domain"]
+                status = flag(section["pass"])
+            elif kind == "principle":
+                section, status = report["principle"][key], "info"
+                domain = section["domain"]
+            elif kind == "property":
+                section, domain = report["properties"][key], ""
+                status = flag(section["pass"])
+            elif kind == "overall":
+                section, domain, status = report, "", flag(report["overall_pass"])
+            else:
+                section = report[kind]
+                domain = section["domain"]
+                status = (("contained" if section["contained"] else "outside")
+                          if kind == "hull" else flag(section["pass"]))
+            assert (row["domain"], row["value"], row["threshold"], row["status"]) == (
+                domain, text(section[row["metric"]]), text(section.get("tol")), status
+            ), row
+        assert {r["scenario"] for r in rows} == set(reports)
+
     def test_unknown_format_rejected(self, ex2_report):
         with pytest.raises(ValueError):
             emit_report([ex2_report], fmt="xml")
