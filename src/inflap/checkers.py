@@ -21,7 +21,6 @@ import numpy as np
 
 from .hull import max_outside_distance
 from .jets import BLOCK_POINTS, EvaluationError, merge_distinct
-from .operators import perturbed_scalar, row_norm, tangential
 
 __all__ = [
     "DomainSpec",
@@ -33,7 +32,6 @@ __all__ = [
     "HullVerdict",
     "ConservationReport",
     "sample",
-    "residual_norm",
     "residual_certify",
     "max_principle_check",
     "directional_check",
@@ -259,24 +257,11 @@ def _at(values: np.ndarray, point, pick, empty: float):
     return float(values[i]), point(i)
 
 
-def residual_norm(op: str, u_jets, f_jets=None) -> np.ndarray:
-    """The selected residual's norm at each point of the map's jets: the
-    Euclidean norm of the tangential part for "tangential", the absolute
-    value for "perturbed_scalar" (which needs the forcing map's jets)."""
-    if op == "tangential":
-        return row_norm(tangential(u_jets))
-    if op == "perturbed_scalar":
-        if f_jets is None:
-            raise ValueError("perturbed_scalar residual needs the forcing map's jets")
-        return np.abs(perturbed_scalar(u_jets, f_jets))
-    raise ValueError(f"unknown operator selector {op!r}")
-
-
 def residual_certify(
     residuals: np.ndarray, domain: DomainSpec, tol: float, jet_source: str = "analytic"
 ) -> ResidualReport:
-    """Sup of the residual norms sampled on the domain (``residual_norm`` at
-    each point); jet_source names where the jets came from."""
+    """Sup of the residual norms sampled on the domain; jet_source names
+    where the jets came from."""
     sup, worst = _at(residuals, domain.point, np.argmax, 0.0)
     return ResidualReport(sup, tol, sup <= tol, worst, len(residuals), jet_source, domain.label)
 

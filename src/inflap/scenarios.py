@@ -1,15 +1,16 @@
 """Scenario registry and runners.
 
 Each counterexample scenario is a small data entry: the profile its speed
-bound is chosen for, the map it builds, the residual it certifies, its
-domains, its principle and hull checks and the margin it must detect.  One
-runner builds the construction from scratch, samples each of its fields
-once with ``checkers.sample`` (the per-point residual norms of the analytic,
-then the finite-difference jets on the residual domain, with |Du|² for
-conservation; values on each distinct principle or hull domain, one domain
-at a time), reduces them with the checks and applies the pass rule.  The
-randomized property suite has its own runner.  Results are the typed records of ``checkers``;
-``reports`` renders them.
+bound is chosen for, the map it builds, its residual function and residual
+domain, and each value domain with the checks its sampled values feed.  One
+runner builds the construction from scratch and samples each field once
+with ``checkers.sample``: the per-point residual norms of the analytic,
+then the finite-difference jets on the residual domain (with |Du|² for
+conservation), then the map's values on each value domain in turn, each
+reduced by that domain's checks and dropped before the next is built.  The
+runner then applies the pass rule.  The randomized property suite has its
+own runner.  Results are the typed records of ``checkers``; ``reports``
+renders them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .checkers import (
     hull_check,
     max_principle_check,
     residual_certify,
-    residual_norm,
     sample,
     slab_domain,
 )
@@ -49,7 +49,14 @@ from .maps import (
     finite_difference_map_jet,
     polar_decompose,
 )
-from .operators import grad_norm_sq, normal, orthogonal_projection, row_norm, tangential
+from .operators import (
+    grad_norm_sq,
+    normal,
+    orthogonal_projection,
+    perturbed_scalar,
+    row_norm,
+    tangential,
+)
 from .profiles import (
     ArcComplement,
     BumpW1,
@@ -241,12 +248,11 @@ def _two_sided_failure(v_neg, v_pos, half_margin: float) -> bool:
 
 # Constructions: (profile, speed bound M, config) -> (map, forcing map).
 
-def _curve(w1, M, cfg):
-    return CurveMap(w1, ArcComplement(w1, M, cells=cfg.cache_cells), cfg.n, cfg.N), None
-
-
-def _radial_curve(z1, M, cfg):
-    return RadialCurveMap(z1, ArcComplement(z1, M, cells=cfg.cache_cells), cfg.n, cfg.N), None
+def _curve(map_class):
+    """Builder of a curve map of map_class, CurveMap or RadialCurveMap."""
+    return lambda profile, M, cfg: (
+        map_class(profile, ArcComplement(profile, M, cells=cfg.cache_cells), cfg.n, cfg.N), None
+    )
 
 
 def _polar_spiral(rho, M, cfg):
@@ -258,8 +264,18 @@ def _perturbed_scalar(w1, M, cfg):
     return ScalarProfileMap(w1, cfg.n), PerturbationPotentialMap(w1, M, cfg.n)
 
 
-# Principle checks: (sampled values, domain, config) -> PrincipleVerdict.  The
-# checkers are looked up when a check runs, so a wrapped checker sees every call.
+# Residuals: (map jets, forcing map jets or None) -> the residual norm at each
+# point.  Checks: (sampled values, domain, config) -> verdict.  Operators and
+# checkers are looked up when a residual or check runs, so a wrapped one sees
+# every call.
+
+def _tangential_residual(u_jets, f_jets):
+    return row_norm(tangential(u_jets))
+
+
+def _perturbed_residual(u_jets, f_jets):
+    return np.abs(perturbed_scalar(u_jets, f_jets))
+
 
 def _along(k: int):
     """Principle check of the projection onto the k-th target axis."""
@@ -274,59 +290,61 @@ def _scalar_value(values, domain, cfg):
     return max_principle_check(values[..., 0], domain)
 
 
+def _hull(values, domain, cfg):
+    return hull_check(values, domain, cfg.hull_tol)
+
+
 @dataclass(frozen=True)
 class _Construction:
     """What one counterexample scenario builds, checks and must detect.
 
-    Domains are ("slab", a, b) or ("annulus", r_in, r_out); a domain named
-    by several checks is built once.  ``detect`` names the principle checks
-    the pass rule reads: one name needs a maximum-principle violation, two
-    names (negative, positive slab) a two-sided failure.
+    Domains are ("slab", a, b) or ("annulus", r_in, r_out).  ``residual``
+    gives the residual norm at each point from the map's jets and the
+    forcing map's (None without one).  ``values`` lists each value domain
+    once with the (name, check) pairs its sampled values feed, in report
+    order; the check named "hull" fills the hull section, every other one a
+    principle verdict.  ``detect`` names the principle checks the pass rule
+    reads: one name needs a maximum-principle violation, two names
+    (negative, positive slab) a two-sided failure.
     """
 
     profile: type
     build: Callable
-    op: str
+    residual: Callable
     residual_domain: tuple
     conservation_scale: float | None  # tolerance / M², None: not checked
-    principle: tuple  # (name, domain, check)
-    hull_domain: tuple | None
+    values: tuple  # (domain, ((name, check), ...))
     analytic_margin: float
     detect: tuple[str, ...]
 
 
 _CONSTRUCTIONS = {
     "ex1a": _Construction(
-        profile=BumpW1, build=_curve, op="tangential",
+        profile=BumpW1, build=_curve(CurveMap), residual=_tangential_residual,
         residual_domain=("slab", -3.0, 3.0), conservation_scale=1e-10,
-        principle=(("xi_e1_minus", ("slab", -2.0, 0.0), _along(0)),
-                   ("xi_e1_plus", ("slab", 0.0, 2.0), _along(0)),
-                   ("xi_e2_minus", ("slab", -2.0, 0.0), _along(1)),
-                   ("xi_e2_plus", ("slab", 0.0, 2.0), _along(1))),
-        hull_domain=("slab", -2.0, 2.0), analytic_margin=INV_E,
-        detect=("xi_e1_minus", "xi_e1_plus"),
+        values=((("slab", -2.0, 0.0), (("xi_e1_minus", _along(0)), ("xi_e2_minus", _along(1)))),
+                (("slab", 0.0, 2.0), (("xi_e1_plus", _along(0)), ("xi_e2_plus", _along(1)))),
+                (("slab", -2.0, 2.0), (("hull", _hull),))),
+        analytic_margin=INV_E, detect=("xi_e1_minus", "xi_e1_plus"),
     ),
     "ex1b": _Construction(
-        profile=BumpZ1, build=_radial_curve, op="tangential",
+        profile=BumpZ1, build=_curve(RadialCurveMap), residual=_tangential_residual,
         residual_domain=("annulus", 1.0, 3.0), conservation_scale=1e-10,
-        principle=(("xi_e1", ("annulus", 1.0, 3.0), _along(0)),),
-        hull_domain=("annulus", 1.0, 3.0), analytic_margin=INV_E,
-        detect=("xi_e1",),
+        values=((("annulus", 1.0, 3.0), (("xi_e1", _along(0)), ("hull", _hull))),),
+        analytic_margin=INV_E, detect=("xi_e1",),
     ),
     "ex2": _Construction(
-        profile=GaussianRho, build=_polar_spiral, op="tangential",
+        profile=GaussianRho, build=_polar_spiral, residual=_tangential_residual,
         residual_domain=("slab", -1.5, 1.5), conservation_scale=1e-9,
-        principle=(("modulus", ("slab", -1.0, 1.0), _modulus),),
-        hull_domain=None, analytic_margin=1.0 - INV_E,
-        detect=("modulus",),
+        values=((("slab", -1.0, 1.0), (("modulus", _modulus),)),),
+        analytic_margin=1.0 - INV_E, detect=("modulus",),
     ),
     "ex3": _Construction(
-        profile=BumpW1, build=_perturbed_scalar, op="perturbed_scalar",
+        profile=BumpW1, build=_perturbed_scalar, residual=_perturbed_residual,
         residual_domain=("slab", -3.0, 3.0), conservation_scale=None,
-        principle=(("v_minus", ("slab", -2.0, 0.0), _scalar_value),
-                   ("v_plus", ("slab", 0.0, 2.0), _scalar_value)),
-        hull_domain=None, analytic_margin=INV_E,
-        detect=("v_minus", "v_plus"),
+        values=((("slab", -2.0, 0.0), (("v_minus", _scalar_value),)),
+                (("slab", 0.0, 2.0), (("v_plus", _scalar_value),))),
+        analytic_margin=INV_E, detect=("v_minus", "v_plus"),
     ),
 }
 
@@ -357,7 +375,7 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     def residuals(get, grad_sq=False):
         def field(x):
             u_jets = get(u, x)
-            norms = residual_norm(spec.op, u_jets, None if f_map is None else get(f_map, x))
+            norms = spec.residual(u_jets, None if f_map is None else get(f_map, x))
             return (norms, grad_norm_sq(u_jets)) if grad_sq else (norms,)
         return sample(field, res_domain)
 
@@ -372,25 +390,18 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     del analytic
     (fd,) = residuals(lambda m, x: finite_difference_map_jet(m, x, h=cfg.fd_step))
     residual.append(residual_certify(fd, res_domain, cfg.fd_tol_scale * m_cubed, jet_source="fd"))
+    del fd, res_domain
 
-    # each principle or hull domain's values are sampled once, reduced by
-    # every check that reads them and dropped before the next domain is sampled
-    value_domains = dict.fromkeys(key for _, key, _ in spec.principle)
-    if spec.hull_domain is not None:
-        value_domains[spec.hull_domain] = None
-    if spec.residual_domain not in value_domains:
-        res_domain = None  # no value check reads it
-    principle, hull = {}, None
-    for key in value_domains:
-        d = res_domain if key == spec.residual_domain else domain(key)
+    # each value domain's values are sampled once, reduced by its checks and
+    # dropped before the next domain is built
+    principle = {}
+    for key, checks in spec.values:
+        d = domain(key)
         values = sample(u.value, d)
-        for name, k, check in spec.principle:
-            if k == key:
-                principle[name] = check(values, d, cfg)
-        if key == spec.hull_domain:
-            hull = hull_check(values, d, cfg.hull_tol)
+        for name, check in checks:
+            principle[name] = check(values, d, cfg)
         del values, d
-    principle = {name: principle[name] for name, _, _ in spec.principle}
+    hull = principle.pop("hull", None)
 
     half = 0.5 * spec.analytic_margin
     if len(spec.detect) == 2:

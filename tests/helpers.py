@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 
-from inflap.checkers import DomainSpec, residual_norm, sample
+from inflap.checkers import DomainSpec, sample
 from inflap.jets import Jet2, sorted_distinct
 from inflap.maps import TrigQuadMap, finite_difference_map_jet
 from inflap.operators import grad_norm_sq
@@ -29,16 +29,16 @@ def affine_map(A, b) -> TrigQuadMap:
     )
 
 
-def sampled_residuals(op: str, u, domain: DomainSpec, f_map=None, fd_step: float | None = None):
-    """The residual checks' field: the residual norm ``op`` at each point of
-    the domain, from the jets of u and of f_map (None without one), analytic
-    or, with fd_step, from the finite-difference oracle."""
+def sampled_residuals(residual, u, domain: DomainSpec, f_map=None, fd_step: float | None = None):
+    """The residual checks' field: the norm ``residual(u_jets, f_jets)`` at
+    each point of the domain, from the jets of u and of f_map (None without
+    one), analytic or, with fd_step, from the finite-difference oracle."""
     if fd_step is None:
         get = lambda m, x: m.map_jet(x)  # noqa: E731
     else:
         get = lambda m, x: finite_difference_map_jet(m, x, h=fd_step)  # noqa: E731
     return sample(
-        lambda x: residual_norm(op, get(u, x), None if f_map is None else get(f_map, x)), domain
+        lambda x: residual(get(u, x), None if f_map is None else get(f_map, x)), domain
     )
 
 

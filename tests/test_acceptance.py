@@ -16,7 +16,7 @@ from inflap.checkers import max_principle_check, residual_certify, sample, slab_
 from inflap.maps import CurveMap, PolarSpiralMap
 from inflap.profiles import ArcComplement, BumpW1, GaussianRho, PolarPhase, choose_M
 from inflap.reports import emit_report
-from inflap.scenarios import ScenarioConfig, run_scenario
+from inflap.scenarios import ScenarioConfig, _tangential_residual, run_scenario
 
 from helpers import refine_abscissas, sampled_residuals
 
@@ -151,7 +151,7 @@ def test_criterion_8_determinism_and_monotonicity(reports):
             d = slab_domain(-1.0, 1.0, grid_points=2, witnesses=ts)
             sup_residuals.append(
                 residual_certify(
-                    sampled_residuals("tangential", u1, d), d, 1e-8 * sb.M**3
+                    sampled_residuals(_tangential_residual, u1, d), d, 1e-8 * sb.M**3
                 ).sup_residual
             )
             sup_moduli.append(

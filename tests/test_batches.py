@@ -41,6 +41,7 @@ from inflap.profiles import (
     PolarPhase,
     choose_M,
 )
+from inflap.scenarios import _tangential_residual
 
 from helpers import exact, sampled_grad_sq, sampled_residuals
 
@@ -138,9 +139,9 @@ def test_single_point_is_the_unbatched_row(maps):
 
 
 CHECKS = [
-    lambda u, d: residual_certify(sampled_residuals("tangential", u, d), d, 1.0),
+    lambda u, d: residual_certify(sampled_residuals(_tangential_residual, u, d), d, 1.0),
     lambda u, d: residual_certify(
-        sampled_residuals("tangential", u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
+        sampled_residuals(_tangential_residual, u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
     ),
     lambda u, d: directional_check(sample(u.value, d), [1.0, 0.0], d),
     lambda u, d: conservation_check(sampled_grad_sq(u, d), d, 1.0, tol=1.0),
@@ -213,7 +214,7 @@ class TestFirstFailure:
         interior = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         d = DomainSpec("annulus", interior, np.array([[3.0, 0.0, 0.0]]))
         with pytest.raises(CheckEvaluationError) as exc:
-            residual_certify(sampled_residuals("tangential", u, d), d, 1.0)
+            residual_certify(sampled_residuals(_tangential_residual, u, d), d, 1.0)
         assert str(exc.value) == ("evaluation failed at [0.0, 0.0, 0.0]: "
                                   "radial map is undefined at the origin")
 

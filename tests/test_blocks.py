@@ -17,6 +17,7 @@ from inflap import checkers, profiles, scenarios
 from inflap.checkers import (
     CheckEvaluationError,
     DomainSpec,
+    annulus_domain,
     conservation_check,
     directional_check,
     hull_check,
@@ -29,7 +30,7 @@ from inflap.jets import BLOCK_POINTS
 from inflap.maps import MapJet, PolarSpiralMap, VectorMap
 from inflap.profiles import GaussianRho, PolarPhase, choose_M
 from inflap.reports import emit_report
-from inflap.scenarios import ScenarioConfig, construction, run_scenario
+from inflap.scenarios import ScenarioConfig, _tangential_residual, construction, run_scenario
 
 from helpers import sampled_grad_sq, sampled_residuals
 
@@ -91,7 +92,46 @@ def test_blocks_give_the_whole_batch_report(monkeypatch, scenario):
 def test_principle_checks_keep_the_registry_order():
     for name in ("ex1a", "ex1b", "ex2", "ex3"):
         report = run_scenario(ScenarioConfig(scenario=name, grid_points=51))
-        assert list(report.principle) == [check for check, _, _ in construction(name).principle]
+        checks = [check for _, pairs in construction(name).values for check, _ in pairs]
+        assert list(report.principle) == [check for check in checks if check != "hull"]
+
+
+def _label(key) -> str:
+    kind, lo, hi = key
+    return (annulus_domain(lo, hi) if kind == "annulus" else slab_domain(lo, hi)).label
+
+
+@pytest.mark.parametrize("scenario", ["ex1a", "ex1b", "ex2", "ex3"])
+def test_each_value_domain_is_sampled_once(monkeypatch, scenario):
+    spec = construction(scenario)
+    names = [name for _, pairs in spec.values for name, _ in pairs]
+    assert len(set(names)) == len(names) and names.count("hull") <= 1
+    assert set(spec.detect) <= set(names) - {"hull"}
+
+    # each sampled field's domain label, and the value fields each checker reads
+    labels, read = [], []
+
+    def recorded_sample(f, domain):
+        labels.append(domain.label)
+        return sample(f, domain)
+
+    def reader(checker):
+        def check(values, *args, **kwargs):
+            read.append(values)
+            return checker(values, *args, **kwargs)
+        return check
+
+    monkeypatch.setattr(scenarios, "sample", recorded_sample)
+    monkeypatch.setattr(scenarios, "directional_check", reader(directional_check))
+    monkeypatch.setattr(scenarios, "hull_check", reader(hull_check))
+    report = run_scenario(ScenarioConfig(scenario=scenario, n=2, grid_points=101))
+    residual = _label(spec.residual_domain)
+    assert labels == [residual, residual] + [_label(key) for key, _ in spec.values]
+    assert list(report.principle) == [name for name in names if name != "hull"]
+    if scenario == "ex1b":
+        # xi_e1 and the hull check read the one sample of the annulus
+        assert len(read) == 2 and read[0] is read[1]
+        assert report.hull.domain == report.principle["xi_e1"].domain == residual
 
 
 def test_one_value_field_is_alive_at_a_time(monkeypatch):
@@ -137,10 +177,10 @@ class _NanAt(VectorMap):
 
 CHECKS = {
     "residual_analytic": lambda u, d: residual_certify(
-        sampled_residuals("tangential", u, d), d, 1.0
+        sampled_residuals(_tangential_residual, u, d), d, 1.0
     ),
     "residual_fd": lambda u, d: residual_certify(
-        sampled_residuals("tangential", u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
+        sampled_residuals(_tangential_residual, u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
     ),
     "principle": lambda u, d: max_principle_check(sample(lambda x: u.value(x)[..., 0], d), d),
     "directional": lambda u, d: directional_check(sample(u.value, d), [1.0, 0.0], d),

@@ -36,7 +36,12 @@ from inflap.profiles import (
     PolarPhase,
     choose_M,
 )
-from inflap.scenarios import ScenarioConfig, construction
+from inflap.scenarios import (
+    ScenarioConfig,
+    _perturbed_residual,
+    _tangential_residual,
+    construction,
+)
 
 from helpers import (
     affine_map,
@@ -175,7 +180,7 @@ class TestResidualCertify:
     def test_curve_map_passes(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        rep = residual_certify(sampled_residuals("tangential", u1, d), d, 1e-8 * sb.M**3)
+        rep = residual_certify(sampled_residuals(_tangential_residual, u1, d), d, 1e-8 * sb.M**3)
         assert rep.passed
         assert rep.n_points >= GRID
         assert rep.sup_residual <= 1e-12
@@ -183,28 +188,28 @@ class TestResidualCertify:
     def test_polar_map_passes(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert residual_certify(sampled_residuals("tangential", u3, d), d, 1e-8 * sb.M**3).passed
+        residuals = sampled_residuals(_tangential_residual, u3, d)
+        assert residual_certify(residuals, d, 1e-8 * sb.M**3).passed
 
     def test_perturbed_scalar_passes(self, ex3_setup):
         v_map, f_map, sb = ex3_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        residuals = sampled_residuals("perturbed_scalar", v_map, d, f_map)
+        residuals = sampled_residuals(_perturbed_residual, v_map, d, f_map)
         rep = residual_certify(residuals, d, 1e-8 * sb.M**3)
         assert rep.passed
 
     def test_fd_oracle_path_passes(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=201)
-        rep = residual_certify(
-            sampled_residuals("tangential", u1, d, fd_step=1e-4), d, 1e-3 * sb.M**3, jet_source="fd"
-        )
+        residuals = sampled_residuals(_tangential_residual, u1, d, fd_step=1e-4)
+        rep = residual_certify(residuals, d, 1e-3 * sb.M**3, jet_source="fd")
         assert rep.passed
         assert rep.jet_source == "fd"
 
     def test_failing_tolerance_reports_worst_point(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=201)
-        rep = residual_certify(sampled_residuals("tangential", u1, d), d, 1e-30)
+        rep = residual_certify(sampled_residuals(_tangential_residual, u1, d), d, 1e-30)
         assert not rep.passed
         assert rep.worst_point is not None
 
@@ -215,20 +220,8 @@ class TestResidualCertify:
         u3 = PolarSpiralMap(rho, short_phase, n=1, N=2)
         d = slab_domain(-1.5, 1.5, grid_points=51)
         with pytest.raises(CheckEvaluationError) as exc:
-            residual_certify(sampled_residuals("tangential", u3, d), d, 1e-8)
+            residual_certify(sampled_residuals(_tangential_residual, u3, d), d, 1e-8)
         assert abs(exc.value.point[0]) > 1.0
-
-    def test_perturbed_scalar_requires_f_map(self, ex3_setup):
-        v_map, _, _ = ex3_setup
-        d = slab_domain(-1.0, 1.0, grid_points=11)
-        with pytest.raises(ValueError):
-            residual_certify(sampled_residuals("perturbed_scalar", v_map, d), d, 1e-8)
-
-    def test_unknown_selector_rejected(self, u1_setup):
-        u1, _ = u1_setup
-        d = slab_domain(-1.0, 1.0, grid_points=11)
-        with pytest.raises(ValueError):
-            residual_certify(sampled_residuals("bogus", u1, d), d, 1e-8)
 
 
 class TestPrincipleChecks:
@@ -415,7 +408,7 @@ class TestHullGeometry:
         spec = construction(scenario)
         profile = spec.profile()
         M = choose_M(profile, samples=20_000).M
-        kind, lo, hi = spec.hull_domain
+        ((kind, lo, hi),) = [key for key, checks in spec.values if "hull" in dict(checks)]
         for n, big_n, witnesses in itertools.product((1, 2, 3), (2, 3), (True, False)):
             cfg = ScenarioConfig(scenario=scenario, n=n, N=big_n, grid_points=51,
                                  inject_witnesses=witnesses)
@@ -470,9 +463,9 @@ class _NanAtOnePoint(VectorMap):
 
 class TestNonFiniteSamples:
     @pytest.mark.parametrize("check", [
-        lambda u, d: residual_certify(sampled_residuals("tangential", u, d), d, 1.0),
+        lambda u, d: residual_certify(sampled_residuals(_tangential_residual, u, d), d, 1.0),
         lambda u, d: residual_certify(
-            sampled_residuals("tangential", u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
+            sampled_residuals(_tangential_residual, u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
         ),
         lambda u, d: max_principle_check(sample(lambda x: u.value(x)[..., 0], d), d),
         lambda u, d: conservation_check(sampled_grad_sq(u, d), d, 1.0, tol=1.0),
@@ -494,7 +487,8 @@ class TestMonotoneRefinement:
         sup_moduli = []
         for _ in range(3):
             d = slab_domain(-1.0, 1.0, grid_points=2, witnesses=ts)
-            rep = residual_certify(sampled_residuals("tangential", u1, d), d, 1e-8 * sb1.M**3)
+            residuals = sampled_residuals(_tangential_residual, u1, d)
+            rep = residual_certify(residuals, d, 1e-8 * sb1.M**3)
             sup_residuals.append(rep.sup_residual)
             verdict = max_principle_check(
                 sample(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d
