@@ -2,31 +2,33 @@
 principle margins, convex-hull containment, and gradient-norm conservation.
 
 Domains are finite sample sets (interior strictly inside, boundary exactly
-on the boundary equation).  ``sample`` evaluates a field on consecutive
-blocks of at most ``BLOCK_POINTS`` domain points and keeps only its
-per-point results, so the field's temporaries never span the whole
-domain; every check is a reduction of a sampled field with
-``argmax``/``argmin`` (the first index wins a tie), so reports are
-deterministic for a given grid.  An evaluation error or a NaN or infinite
-reduced value aborts with the first offending point in domain order.
-"""
+on the boundary equation) that write their points block by block.
+``sample`` evaluates a field on blocks of at most ``BLOCK_POINTS`` points
+and feeds each to the checks' reductions, running extrema in which the
+first index wins a tie: no array of the domain's size exists, and reports
+are deterministic for a given grid.  An evaluation error, then a NaN or
+infinite reduced value, aborts with the first offending point."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import max_outside_distance
-from .jets import BLOCK_POINTS, EvaluationError, merge_distinct
+from . import hull
+from .jets import BLOCK_POINTS, EvaluationError, grid_nodes, sorted_distinct
 
 __all__ = [
     "DomainSpec",
     "CheckEvaluationError",
     "slab_domain",
     "annulus_domain",
+    "Extremum",
+    "PrincipleExtrema",
+    "HullReduction",
     "ResidualReport",
     "PrincipleVerdict",
     "HullVerdict",
@@ -49,40 +51,54 @@ class CheckEvaluationError(EvaluationError):
 
 @dataclass
 class DomainSpec:
-    """Sampled interior and boundary of a scenario domain."""
+    """k copies of each abscissa of a 1-D grid, written block by block: the
+    nodes of ``np.linspace(lo, hi, grid_points)`` strictly inside (lo, hi)
+    with the witnesses there merged in, then lo and hi.  Copy j of abscissa
+    t is the point t·scale[j] + shift[j]; points are abscissa-major,
+    interior then boundary, the order of every sampled field."""
 
     label: str
-    interior: np.ndarray  # (m, n), strictly inside
-    boundary: np.ndarray  # (k, n), exactly on the boundary
+    lo: float
+    hi: float
+    grid_points: int
+    inserted: np.ndarray  # the witnesses; once built, those merged in, then lo and hi
+    scale: np.ndarray  # (k, n)
+    shift: np.ndarray  # (k, n)
+
+    def __post_init__(self):
+        lo, hi, g = self.lo, self.hi, self.grid_points
+        if g < 2:
+            raise ValueError("grid_points must be at least 2")
+        ws = sorted_distinct(np.asarray([w for w in self.inserted if lo < w < hi], dtype=float))
+        node = lambda i: grid_nodes(lo, hi, g, i, i + 1)[0]  # noqa: E731
+        # the interior nodes 1 .. g - 2 below each witness, by bisection
+        below = [bisect.bisect_left(range(1, g - 1), w, key=node) for w in ws]
+        keep = [b == g - 2 or node(b + 1) != w for b, w in zip(below, ws)]
+        self.inserted = np.append(ws[keep], [lo, hi])
+        # each inserted abscissa's position among all abscissas
+        self.at = np.array(below + [g - 2] * 2)[keep + [True] * 2] + np.arange(len(self.inserted))
+        self.n_interior = (g - 4 + len(self.inserted)) * len(self.scale)
 
     def __len__(self) -> int:
-        return len(self.interior) + len(self.boundary)
+        return self.n_interior + 2 * len(self.scale)
 
     def points(self, start: int, stop: int) -> np.ndarray:
-        """A copy of points start to stop - 1 of interior then boundary, the
-        order of every sampled field."""
-        m = len(self.interior)
-        return np.concatenate([
-            self.interior[min(start, m) : min(stop, m)],
-            self.boundary[max(start - m, 0) : max(stop - m, 0)],
-        ])
+        """Points start to stop - 1 of interior then boundary."""
+        k, n = self.scale.shape
+        q, r = start // k, -(-min(stop, len(self)) // k)  # the block's abscissas q to r - 1
+        # abscissa i not inserted is node i - (abscissas inserted before i) + 1
+        first, last = np.searchsorted(self.at, [q, r])
+        t = grid_nodes(self.lo, self.hi, self.grid_points, q - first + 1, r - last + 1)
+        if last > first:
+            t = np.insert(t, self.at[first:last] - np.arange(q, q + last - first),
+                          self.inserted[first:last])
+        block = t[:, None, None] * self.scale + self.shift
+        np.copyto(block, self.shift, where=self.scale == 0.0)  # a constant keeps its signed zero
+        return block.reshape(-1, n)[start - q * k : stop - q * k]
 
     def point(self, i: int) -> np.ndarray:
         """A copy of point i of interior then boundary."""
-        m = len(self.interior)
-        return (self.interior[i] if i < m else self.boundary[i - m]).copy()
-
-
-def _with_witnesses(values: np.ndarray, witnesses, lo: float, hi: float) -> np.ndarray:
-    return merge_distinct(values, [w for w in witnesses if lo < w < hi])
-
-
-def _cross_sections(n: int, extent: float) -> np.ndarray:
-    """Sample offsets for the translation-invariant axes 2..n; for n = 1
-    the one empty offset."""
-    half = 0.5 * extent
-    axes = [(-half, 0.0, half)] * (n - 1)
-    return np.asarray(list(itertools.product(*axes)), dtype=float)
+        return self.points(i, i + 1)[0].copy()
 
 
 def slab_domain(
@@ -103,21 +119,13 @@ def slab_domain(
     """
     if not b > a:
         raise ValueError("slab needs a < b")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    ts = np.linspace(a, b, grid_points)
-    interior_t = _with_witnesses(ts[(ts > a) & (ts < b)], witnesses, a, b)
-    cross = _cross_sections(n, cross_extent)
-
-    def points(t):
-        """Each abscissa in t with each cross-section offset, abscissa-major,
-        written in place: no temporary of the domain's size."""
-        out = np.empty((len(t), len(cross), n))
-        out[..., 0] = t[:, None]
-        out[..., 1:] = cross
-        return out.reshape(-1, n)
-
-    return DomainSpec(f"slab({a:g},{b:g})", points(interior_t), points(np.array([a, b])))
+    # the offsets of x2..xn, 3^(n-1) of them; for n = 1 the one empty offset
+    half = 0.5 * cross_extent
+    cross = np.asarray(list(itertools.product(*[(-half, 0.0, half)] * (n - 1))), dtype=float)
+    # x1 is t·1 + (-0.0), exactly t; x2..xn, scaled by 0, are the offsets
+    scale = np.repeat(np.eye(n)[:1], len(cross), axis=0)
+    shift = np.column_stack([np.full(len(cross), -0.0), cross])
+    return DomainSpec(f"slab({a:g},{b:g})", a, b, grid_points, witnesses, scale, shift)
 
 
 def annulus_domain(
@@ -136,14 +144,80 @@ def annulus_domain(
     """
     if not 0.0 < r_in < r_out:
         raise ValueError("annulus needs 0 < r_in < r_out")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    rs = np.linspace(r_in, r_out, grid_points)
-    interior_r = _with_witnesses(rs[(rs > r_in) & (rs < r_out)], witnesses, r_in, r_out)
     dirs = np.concatenate([np.eye(n), -np.eye(n)])
-    interior = (interior_r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    boundary = (np.array([r_in, r_out])[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    return DomainSpec(f"annulus({r_in:g},{r_out:g})", interior, boundary)
+    # r·d + 0·d is r·d, and an entry of d that is 0.0 or -0.0 stays 0·d, the same zero
+    return DomainSpec(f"annulus({r_in:g},{r_out:g})", r_in, r_out, grid_points, witnesses,
+                      dirs, 0.0 * dirs)
+
+
+class Extremum:
+    """A running (value, index) argmax or argmin, as ``pick`` says, of values
+    fed block by block in domain order; the first index wins a tie.  The
+    first NaN or infinite row fed is recorded, and ``result`` raises it."""
+
+    def __init__(self, pick=np.argmax):
+        self.pick, self.value, self.index, self.bad = pick, None, -1, None
+
+    def check(self, rows: np.ndarray, start: int) -> None:  # row 0 is point start
+        finite = np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+        if self.bad is None and not finite.all():
+            i = int(np.argmin(finite))
+            self.bad = (start + i, rows[i].copy())
+
+    def feed(self, values: np.ndarray, start: int) -> None:
+        self.check(values, start)
+        if len(values):
+            i = int(self.pick(values))
+            # only a strictly better value: pick prefers the first of a tie
+            if self.index < 0 or self.pick([self.value, values[i]]) == 1:
+                self.value, self.index = values[i], start + i
+
+    def result(self, point, empty: float):
+        """The extremum and a copy of its point, or empty and None; raises the first bad row."""
+        if self.bad is not None:
+            i, row = self.bad
+            raise CheckEvaluationError(point(i), f"sampled value {row} is not finite")
+        if self.index < 0:
+            return empty, None
+        return float(self.value), point(self.index)
+
+
+class PrincipleExtrema:
+    """max_principle_check's reduction, fed boundary first: each side's max and min of project."""
+
+    def __init__(self, project, n_interior: int):
+        self.project, self.n_interior = project, n_interior
+        self.extrema = tuple(Extremum(pick) for pick in (np.argmax, np.argmin) * 2)
+
+    def feed(self, values: np.ndarray, start: int) -> None:
+        projected = self.project(values)
+        side = 2 if start >= self.n_interior else 0
+        for extremum in self.extrema[side : side + 2]:
+            extremum.feed(projected, start)
+
+
+class HullReduction:
+    """What hull_check reads from a field sampled boundary first: the
+    boundary image and the worst distance of an interior image from it."""
+
+    def __init__(self, n_interior: int):
+        self.n_interior, self.boundary = n_interior, np.empty((0, 2))
+        self.dist, self.at, self.image = 0.0, -1, None  # the worst distance, its point and image
+        self.inner, self.outer = Extremum(), Extremum()  # their first non-finite image
+
+    def feed(self, values: np.ndarray, start: int) -> None:
+        images = values[..., :2]
+        if start >= self.n_interior:
+            self.outer.check(images, start)
+            self.boundary = np.concatenate([self.boundary, images])
+            return
+        self.inner.check(images, start)
+        try:
+            dist, i = hull.max_outside_distance(images, self.boundary)
+        except ValueError:  # hull_check refuses the boundary image last
+            return
+        if i >= 0 and dist > self.dist:  # strictly: an earlier block keeps a tie
+            self.dist, self.at, self.image = dist, start + i, images[i].copy()
 
 
 @dataclass
@@ -202,20 +276,25 @@ class ConservationReport:
     passed: bool
 
 
-def sample(f, domain: DomainSpec):
-    """f on the domain's points, interior then boundary, one block of at
-    most BLOCK_POINTS consecutive points at a time.  f returns an array, or
-    a tuple of arrays, with one entry or row per point; the blocks' results
-    are written in point order into one array per result, so only one block
-    of f's temporaries is alive at a time.  An EvaluationError becomes a
-    CheckEvaluationError naming the first failing point in domain order.
-    Evaluation is pointwise, so the blocks before the failing one pass, and
-    within it the shortest failing prefix ends at that point and fails with
-    the error the point raises alone."""
-    total = len(domain)
-    out = None
-    for start in range(0, max(total, 1), BLOCK_POINTS):
-        block = domain.points(start, start + BLOCK_POINTS)
+def sample(f, domain: DomainSpec, reductions, boundary_first: bool = False) -> None:
+    """Reduce f on the domain's points, BLOCK_POINTS at a time: f returns a
+    tuple of arrays, one entry or row per point, and the i-th goes to
+    ``reductions[i].feed(values, start)`` for points start, start + 1, ...
+    Blocks run interior then boundary; with boundary_first, boundary then
+    interior, the last boundary block topped up with interior points in
+    domain order and feeding its boundary first.  An EvaluationError names
+    the first failing point in domain order, a boundary one once the whole
+    interior passed: evaluation is pointwise, so the shortest failing
+    prefix of the failing block ends there."""
+    m, total = domain.n_interior, len(domain)
+    held = None
+    for p in range(0, total, BLOCK_POINTS):
+        start = (p + m) % total if boundary_first else p
+        stop = start + min(BLOCK_POINTS, total - p)
+        wrap = max(stop - total, 0)  # the block goes on with points 0 to wrap - 1
+        block = domain.points(start, stop)
+        if wrap:
+            block = np.concatenate([domain.points(0, wrap), block])
         try:
             result = f(block)
         except EvaluationError as exc:
@@ -227,96 +306,65 @@ def sample(f, domain: DomainSpec):
                     lo = mid
                 except EvaluationError as prefix_exc:
                     hi, exc = mid, prefix_exc
-            raise CheckEvaluationError(block[hi - 1], str(exc)) from exc
-        columns = result if isinstance(result, tuple) else (result,)
-        if out is None:
-            out = tuple(np.empty((total,) + c.shape[1:], c.dtype) for c in columns)
-        for o, c in zip(out, columns):
-            o[start : start + len(block)] = c
-    return out if isinstance(result, tuple) else out[0]
-
-
-def _finite(values: np.ndarray, point) -> np.ndarray:
-    """The values, one entry or row per point, unless one is NaN or
-    infinite: a CheckEvaluationError then names the first such point,
-    ``point(i)`` for the i-th value."""
-    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=tuple(range(1, values.ndim))))
-    if bad.size:
-        i = bad[0]
-        raise CheckEvaluationError(point(i), f"sampled value {values[i]} is not finite")
-    return values
-
-
-def _at(values: np.ndarray, point, pick, empty: float):
-    """The finite value ``pick`` (argmax or argmin) selects and its point,
-    the copy ``point(i)`` for the i-th value; the first index wins a tie.
-    No samples give ``empty`` and no point."""
-    if len(values) == 0:
-        return empty, None
-    i = pick(_finite(values, point))
-    return float(values[i]), point(i)
+            error = CheckEvaluationError(block[hi - 1], str(exc))
+            error.__cause__ = exc
+            if hi <= wrap or start + hi - 1 - wrap < m:
+                raise error
+            held = held or error
+            continue
+        for first, end, row in ((start, stop - wrap, wrap), (0, wrap, 0)) if held is None else ():
+            for reduction, values in zip(reductions, result):
+                if end > first:
+                    reduction.feed(values[row : row + end - first], first)
+    if held is not None:
+        raise held
 
 
 def residual_certify(
-    residuals: np.ndarray, domain: DomainSpec, tol: float, jet_source: str = "analytic"
+    sup: Extremum, domain: DomainSpec, tol: float, jet_source: str = "analytic"
 ) -> ResidualReport:
-    """Sup of the residual norms sampled on the domain; jet_source names
-    where the jets came from."""
-    sup, worst = _at(residuals, domain.point, np.argmax, 0.0)
-    return ResidualReport(sup, tol, sup <= tol, worst, len(residuals), jet_source, domain.label)
+    """The sup of the residual norms sampled on the domain; jet_source
+    names where the jets came from."""
+    value, worst = sup.result(domain.point, 0.0)
+    return ResidualReport(value, tol, value <= tol, worst, len(domain), jet_source, domain.label)
 
 
-def max_principle_check(values: np.ndarray, domain: DomainSpec) -> PrincipleVerdict:
+def max_principle_check(extrema: PrincipleExtrema, domain: DomainSpec) -> PrincipleVerdict:
     """Compare interior extrema of a sampled scalar field against boundary extrema."""
-    m = len(domain.interior)
-    inner, outer = values[:m], values[m:]
-    sup_i, w_sup = _at(inner, domain.point, np.argmax, -math.inf)
-    inf_i, w_inf = _at(inner, domain.point, np.argmin, math.inf)
-    max_b, _ = _at(outer, lambda i: domain.point(m + i), np.argmax, -math.inf)
-    min_b, _ = _at(outer, lambda i: domain.point(m + i), np.argmin, math.inf)
+    # interior max and min, then boundary max and min; none sampled gives -inf or inf
+    empty = (-math.inf, math.inf) * 2
+    (sup_i, w_sup), (inf_i, w_inf), (max_b, _), (min_b, _) = (
+        e.result(domain.point, none) for e, none in zip(extrema.extrema, empty))
     max_margin, min_margin = sup_i - max_b, min_b - inf_i
-    return PrincipleVerdict(
-        sup_interior=sup_i,
-        max_boundary=max_b,
-        inf_interior=inf_i,
-        min_boundary=min_b,
-        max_violation_margin=max_margin,
-        min_violation_margin=min_margin,
-        witness_sup=w_sup,
-        witness_inf=w_inf,
-        domain=domain.label,
-        max_violation=max_margin > 0.0,
-        min_violation=min_margin > 0.0,
-    )
+    return PrincipleVerdict(sup_i, max_b, inf_i, min_b, max_margin, min_margin, w_sup, w_inf,
+                            domain.label, max_margin > 0.0, min_margin > 0.0)
 
 
-def directional_check(values: np.ndarray, xi, domain: DomainSpec) -> PrincipleVerdict:
-    """Maximum/minimum principle check for the projection xi · u of sampled values."""
-    xi = np.asarray(xi, dtype=float)
-    if not np.linalg.norm(xi) > 0.0:
+def directional_check(extrema: PrincipleExtrema, xi, domain: DomainSpec) -> PrincipleVerdict:
+    """Maximum/minimum principle check from the extrema of xi · u over the sampled values."""
+    if not np.linalg.norm(np.asarray(xi, dtype=float)) > 0.0:
         raise ValueError("direction xi must be nonzero")
-    return max_principle_check(np.vecdot(values[..., : len(xi)], xi), domain)
+    return max_principle_check(extrema, domain)
 
 
-def hull_check(values: np.ndarray, domain: DomainSpec, hull_tol: float = 1e-9) -> HullVerdict:
+def hull_check(reduction: HullReduction, domain: DomainSpec, hull_tol: float = 1e-9) -> HullVerdict:
     """Containment of the interior image in the hull of the boundary image.
 
     The constructions are planar (padded components vanish identically), so
-    the check runs on the first two coordinates of the sampled map values.
+    the check reads the first two coordinates of the sampled map values.
     """
-    if len(domain.boundary) < 1:
+    if len(domain) == domain.n_interior:
         raise ValueError("hull check needs at least one boundary sample")
-    m = len(domain.interior)
-    images = _finite(values[..., :2], domain.point)
-    dist, idx = max_outside_distance(images[:m], images[m:])
-    witness = domain.interior[idx].copy() if idx >= 0 else None
-    image = images[idx].copy() if idx >= 0 else None
-    return HullVerdict(dist <= hull_tol, dist, witness, image, hull_tol, domain.label)
+    for images in (reduction.inner, reduction.outer):
+        images.result(domain.point, 0.0)
+    hull._segment_ends(reduction.boundary)  # refuses a boundary image of more than two points
+    dist, witness = reduction.dist, None if reduction.at < 0 else domain.point(reduction.at)
+    return HullVerdict(dist <= hull_tol, dist, witness, reduction.image, hull_tol, domain.label)
 
 
 def conservation_check(
-    grad_sq: np.ndarray, domain: DomainSpec, target_sq: float, tol: float
+    deviation: Extremum, domain: DomainSpec, target_sq: float, tol: float
 ) -> ConservationReport:
-    """Max deviation of |Du|², sampled on the domain, from its constant target."""
-    max_dev, worst = _at(np.abs(grad_sq - target_sq), domain.point, np.argmax, 0.0)
+    """The max deviation of |Du|², sampled on the domain, from its constant target."""
+    max_dev, worst = deviation.result(domain.point, 0.0)
     return ConservationReport(max_dev, target_sq, worst, domain.label, tol, max_dev <= tol)

@@ -3,14 +3,14 @@
 The constructions map each boundary face or sphere to a single point, so
 a boundary image has at most two distinct points and its hull is a
 segment (a single point when both coincide); a larger image is refused.
-The queries test a batch of points (..., 2) against that segment at once.
+The queries test one block of points (..., 2) against that segment at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import BLOCK_POINTS, sorted_distinct
+from .jets import sorted_distinct
 from .operators import row_norm
 
 __all__ = ["point_segment_distance", "max_outside_distance"]
@@ -39,17 +39,13 @@ def _segment_ends(points) -> np.ndarray:
 
 
 def max_outside_distance(interior_points, boundary_points) -> tuple[float, int]:
-    """Worst distance of interior image points from the segment that is
-    the hull of the boundary image, tested BLOCK_POINTS points at a time.
+    """Worst distance of interior image points, one block of a sampled
+    field, from the segment that is the hull of the boundary image.
     Returns (distance, witness index); the first index wins a tie, and
     (0.0, -1) means every point is on the segment."""
     ends = _segment_ends(boundary_points)
     points = np.asarray(interior_points, dtype=float).reshape(-1, 2)
-    worst, at = 0.0, -1
-    for start in range(0, len(points), BLOCK_POINTS):
-        d = point_segment_distance(points[start : start + BLOCK_POINTS], ends[0], ends[-1])
-        d = np.where(d > 0.0, d, 0.0)  # a NaN distance, like an inside one, is no witness
-        i = int(np.argmax(d))
-        if d[i] > worst:  # strictly: an earlier block keeps a tie
-            worst, at = float(d[i]), start + i
-    return worst, at
+    d = point_segment_distance(points, ends[0], ends[-1])
+    d = np.where(d > 0.0, d, 0.0)  # a NaN distance, like an inside one, is no witness
+    i = int(np.argmax(d)) if len(d) else -1
+    return (float(d[i]), i) if i >= 0 and d[i] > 0.0 else (0.0, -1)

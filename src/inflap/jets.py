@@ -18,6 +18,7 @@ __all__ = [
     "EvaluationError",
     "exp",
     "first_where",
+    "grid_nodes",
     "sorted_distinct",
     "merge_distinct",
     "jet_lift",
@@ -63,6 +64,18 @@ def exp(x) -> np.ndarray:
 def first_where(mask, values) -> float:
     """The first entry of ``values`` where ``mask`` holds, as a float."""
     return float(np.broadcast_to(values, np.shape(mask))[mask][0])
+
+
+def grid_nodes(a: float, b: float, samples: int, start: int, stop: int) -> np.ndarray:
+    """Nodes start to stop - 1 of ``np.linspace(a, b, samples)``, bit for bit:
+    k·step + a with step = (b - a)/(samples - 1), and the last node exactly b."""
+    step = (b - a) / (samples - 1) if samples > 1 else 0.0
+    nodes = np.arange(start, stop, dtype=float)
+    nodes *= step
+    nodes += a
+    if samples > 1 and stop == samples:
+        nodes[-1] = b
+    return nodes
 
 
 def sorted_distinct(a) -> np.ndarray:

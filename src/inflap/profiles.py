@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import BLOCK_POINTS, EvaluationError, Jet2, exp, first_where, jet_exp, jet_sqrt
+from .jets import (BLOCK_POINTS, EvaluationError, Jet2, exp, first_where, grid_nodes, jet_exp,
+                   jet_sqrt)
 from .quadrature import gauss_kronrod_15
 
 __all__ = [
@@ -331,18 +332,6 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return max(fc, fd)
 
 
-def _grid_nodes(a: float, b: float, samples: int, start: int, stop: int) -> np.ndarray:
-    """Nodes start to stop - 1 of ``np.linspace(a, b, samples)``, bit for bit:
-    k·step + a with step = (b - a)/(samples - 1), and the last node exactly b."""
-    step = (b - a) / (samples - 1) if samples > 1 else 0.0
-    nodes = np.arange(start, stop, dtype=float)
-    nodes *= step
-    nodes += a
-    if samples > 1 and stop == samples:
-        nodes[-1] = b
-    return nodes
-
-
 def _grid_argmax_abs_d1(profile: Profile, a: float, b: float, samples: int) -> tuple[int, float]:
     """The index and value of ``np.argmax`` of |profile'| on
     ``np.linspace(a, b, samples)``: the grid is formed and reduced
@@ -352,7 +341,7 @@ def _grid_argmax_abs_d1(profile: Profile, a: float, b: float, samples: int) -> t
     best, i = -math.inf, 0
     for start in range(0, samples, BLOCK_POINTS):
         stop = min(start + BLOCK_POINTS, samples)
-        vals = np.abs(profile.d1(_grid_nodes(a, b, samples, start, stop)))
+        vals = np.abs(profile.d1(grid_nodes(a, b, samples, start, stop)))
         j = int(np.argmax(vals))
         if vals[j] > best or (math.isnan(vals[j]) and not math.isnan(best)):
             best, i = float(vals[j]), start + j
@@ -370,7 +359,7 @@ def estimate_sup_abs_d1(
         raise ValueError("samples must be at least 1")
     a, b = interval if interval is not None else profile.sup_search_interval
     i, best = _grid_argmax_abs_d1(profile, a, b, samples)
-    around = _grid_nodes(a, b, samples, max(i - 1, 0), min(i + 1, samples - 1) + 1)
+    around = grid_nodes(a, b, samples, max(i - 1, 0), min(i + 1, samples - 1) + 1)
     polished = _golden_max(lambda t: float(abs(profile.d1(t))), float(around[0]), float(around[-1]))
     return max(best, polished)
 

@@ -3,11 +3,11 @@
 Each counterexample scenario is a small data entry: the profile its speed
 bound is chosen for, the map it builds, its residual function and residual
 domain, and each value domain with the checks its sampled values feed.  One
-runner builds the construction from scratch and samples each field once
-with ``checkers.sample``: the per-point residual norms of the analytic,
-then the finite-difference jets on the residual domain (with |Du|² for
-conservation), then the map's values on each value domain in turn, each
-reduced by that domain's checks and dropped before the next is built.  The
+runner builds the construction from scratch and sweeps each field once
+with ``checkers.sample``, block by block into running reductions: the
+residual norms of the analytic, then the finite-difference jets on the
+residual domain (with |Du|²'s deviation for conservation), then the map's
+values on each value domain in turn, boundary first, into its checks.  The
 runner then applies the pass rule.  The randomized property suite has its
 own runner.  Results are the typed records of ``checkers``; ``reports``
 renders them.
@@ -25,7 +25,10 @@ import numpy as np
 
 from .checkers import (
     ConservationReport,
+    Extremum,
+    HullReduction,
     HullVerdict,
+    PrincipleExtrema,
     PrincipleVerdict,
     ResidualReport,
     annulus_domain,
@@ -91,11 +94,12 @@ WITNESS_ABSCISSAS = (0.0, 1.0, -1.0, 2.0)
 _VECTOR_SCENARIOS = ("ex1a", "ex1b", "ex2")
 SCENARIO_NAMES = ("ex1a", "ex1b", "ex2", "ex3", "properties")
 
-#: most points a construction's domain may hold: grid_points·3^(n-1) on a slab, ·2n on an annulus
+#: most points a construction's domain may hold: grid_points·3^(n-1) on a slab, ·2n on an
+#: annulus.  A domain is written and reduced block by block, so the cap bounds work, not memory
 MAX_DOMAIN_POINTS = 2_000_000
 #: most hessian entries the jets of one residual domain may total over its
 #: blocks, grid_points·copies·N·n² with N = 1 for the scalar maps of ex3: it
-#: bounds a run's work and the (points, N) value field
+#: bounds a run's work
 MAX_HESSIAN_ENTRIES = 20_000_000
 #: most cells of a cumulative-integral table: its build evaluates 15 nodes a
 #: cell in blocks of jets.BLOCK_POINTS cells and keeps 32 bytes a cell at its peak
@@ -265,9 +269,9 @@ def _perturbed_scalar(w1, M, cfg):
 
 
 # Residuals: (map jets, forcing map jets or None) -> the residual norm at each
-# point.  Checks: (sampled values, domain, config) -> verdict.  Operators and
-# checkers are looked up when a residual or check runs, so a wrapped one sees
-# every call.
+# point.  Checks: (domain, config) -> (reduction fed the sampled values, the
+# function that makes its verdict).  Operators and checkers are looked up
+# when a residual or check runs, so a wrapped one sees every call.
 
 def _tangential_residual(u_jets, f_jets):
     return row_norm(tangential(u_jets))
@@ -279,19 +283,28 @@ def _perturbed_residual(u_jets, f_jets):
 
 def _along(k: int):
     """Principle check of the projection onto the k-th target axis."""
-    return lambda values, domain, cfg: directional_check(values, np.eye(cfg.N)[k], domain)
+    def check(domain, cfg):
+        xi = np.eye(cfg.N)[k]
+        extrema = PrincipleExtrema(lambda values: np.vecdot(values, xi), domain.n_interior)
+        return extrema, lambda: directional_check(extrema, xi, domain)
+    return check
 
 
-def _modulus(values, domain, cfg):
-    return max_principle_check(row_norm(values), domain)
+def _principle(project):
+    """Principle check of ``project`` of the sampled values."""
+    def check(domain, cfg):
+        extrema = PrincipleExtrema(project, domain.n_interior)
+        return extrema, lambda: max_principle_check(extrema, domain)
+    return check
 
 
-def _scalar_value(values, domain, cfg):
-    return max_principle_check(values[..., 0], domain)
+_modulus = _principle(lambda values: row_norm(values))
+_scalar_value = _principle(lambda values: values[..., 0])
 
 
-def _hull(values, domain, cfg):
-    return hull_check(values, domain, cfg.hull_tol)
+def _hull(domain, cfg):
+    reduction = HullReduction(domain.n_interior)
+    return reduction, lambda: hull_check(reduction, domain, cfg.hull_tol)
 
 
 @dataclass(frozen=True)
@@ -369,38 +382,38 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
 
     res_domain = domain(spec.residual_domain)
 
-    # the residual norm at each point, with |Du|² when asked, from the jets
-    # of u and of the forcing map (None without one); the sample names the
-    # first failing point of either
-    def residuals(get, grad_sq=False):
+    # running sups of the residual norm and, given target_sq, of |Du|²'s deviation
+    # from it, from the jets of u and of the forcing map (None without one)
+    def residuals(get, *target_sq):
+        extrema = [Extremum() for _ in range(1 + len(target_sq))]
+
         def field(x):
             u_jets = get(u, x)
             norms = spec.residual(u_jets, None if f_map is None else get(f_map, x))
-            return (norms, grad_norm_sq(u_jets)) if grad_sq else (norms,)
-        return sample(field, res_domain)
+            return norms, *(np.abs(grad_norm_sq(u_jets) - t) for t in target_sq)
+        sample(field, res_domain, extrema)
+        return extrema
 
-    conserved = spec.conservation_scale is not None
-    analytic = residuals(lambda m, x: m.map_jet(x), grad_sq=conserved)
+    target = () if spec.conservation_scale is None else (sb.M**2,)
+    analytic = residuals(lambda m, x: m.map_jet(x), *target)
     residual = [residual_certify(analytic[0], res_domain, cfg.residual_tol_scale * m_cubed)]
     conservation = None
-    if conserved:
+    if target:
         conservation = conservation_check(
             analytic[1], res_domain, sb.M**2, tol=spec.conservation_scale * sb.M**2
         )
-    del analytic
     (fd,) = residuals(lambda m, x: finite_difference_map_jet(m, x, h=cfg.fd_step))
     residual.append(residual_certify(fd, res_domain, cfg.fd_tol_scale * m_cubed, jet_source="fd"))
-    del fd, res_domain
 
-    # each value domain's values are sampled once, reduced by its checks and
-    # dropped before the next domain is built
+    # each value domain is swept once, boundary first, and each block of
+    # its values is reduced by its checks
     principle = {}
     for key, checks in spec.values:
         d = domain(key)
-        values = sample(u.value, d)
-        for name, check in checks:
-            principle[name] = check(values, d, cfg)
-        del values, d
+        reductions, finishes = zip(*(check(d, cfg) for _, check in checks))
+        sample(lambda x: (u.value(x),) * len(checks), d, reductions, boundary_first=True)
+        for (name, _), finish in zip(checks, finishes):
+            principle[name] = finish()
     hull = principle.pop("hull", None)
 
     half = 0.5 * spec.analytic_margin

@@ -1,11 +1,13 @@
 """Reference maps, domains and oracles that only the tests use."""
 
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 
-from inflap.checkers import DomainSpec, sample
-from inflap.jets import Jet2, sorted_distinct
+from inflap.checkers import Extremum, HullReduction, PrincipleExtrema, sample
+from inflap.jets import Jet2, merge_distinct, sorted_distinct
 from inflap.maps import TrigQuadMap, finite_difference_map_jet
 from inflap.operators import grad_norm_sq
 
@@ -13,6 +15,16 @@ from inflap.operators import grad_norm_sq
 def exact(message: str) -> str:
     """A ``pytest.raises`` pattern that matches ``message`` and nothing more."""
     return rf"\A{re.escape(message)}\Z"
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def affine_map(A, b) -> TrigQuadMap:
@@ -29,25 +41,68 @@ def affine_map(A, b) -> TrigQuadMap:
     )
 
 
-def sampled_residuals(residual, u, domain: DomainSpec, f_map=None, fd_step: float | None = None):
-    """The residual checks' field: the norm ``residual(u_jets, f_jets)`` at
-    each point of the domain, from the jets of u and of f_map (None without
-    one), analytic or, with fd_step, from the finite-difference oracle."""
-    if fd_step is None:
-        get = lambda m, x: m.map_jet(x)  # noqa: E731
-    else:
-        get = lambda m, x: finite_difference_map_jet(m, x, h=fd_step)  # noqa: E731
-    return sample(
-        lambda x: residual(get(u, x), None if f_map is None else get(f_map, x)), domain
-    )
+class ArrayDomain:
+    """A domain held as explicit interior and boundary arrays, with the
+    members the sweep and the checks read from a ``DomainSpec``."""
+
+    def __init__(self, label: str, interior, boundary):
+        self.label = label
+        self.interior = np.asarray(interior, dtype=float)
+        self.boundary = np.asarray(boundary, dtype=float)
+        self.n_interior = len(self.interior)
+
+    def __len__(self) -> int:
+        return self.n_interior + len(self.boundary)
+
+    def points(self, start: int, stop: int) -> np.ndarray:
+        return np.concatenate([self.interior, self.boundary])[start:stop]
+
+    def point(self, i: int) -> np.ndarray:
+        return self.points(i, i + 1)[0]
 
 
-def sampled_grad_sq(u, domain: DomainSpec):
-    """The conservation check's field: |Du|² of u's analytic jets at each point."""
-    return sample(lambda x: grad_norm_sq(u.map_jet(x)), domain)
+def interior(domain) -> np.ndarray:
+    return domain.points(0, domain.n_interior)
 
 
-def box_domain(intervals, grid_points: int = 11) -> DomainSpec:
+def boundary(domain) -> np.ndarray:
+    return domain.points(domain.n_interior, len(domain))
+
+
+def all_points(domain) -> np.ndarray:
+    return domain.points(0, len(domain))
+
+
+def reference_slab(a, b, n=1, grid_points=2001, cross_extent=1.0, witnesses=()) -> ArrayDomain:
+    """The slab as ``checkers.slab_domain`` formed it while a domain stored
+    its points: the reference for the generated one."""
+    ts = np.linspace(a, b, grid_points)
+    inside = merge_distinct(ts[(ts > a) & (ts < b)], [w for w in witnesses if a < w < b])
+    half = 0.5 * cross_extent
+    cross = np.asarray(list(itertools.product(*[(-half, 0.0, half)] * (n - 1))), dtype=float)
+
+    def points(t):
+        out = np.empty((len(t), len(cross), n))
+        out[..., 0] = t[:, None]
+        out[..., 1:] = cross
+        return out.reshape(-1, n)
+
+    return ArrayDomain(f"slab({a:g},{b:g})", points(inside), points(np.array([a, b])))
+
+
+def reference_annulus(r_in, r_out, n=1, grid_points=2001, witnesses=()) -> ArrayDomain:
+    """The annulus as ``checkers.annulus_domain`` formed it while a domain
+    stored its points."""
+    rs = np.linspace(r_in, r_out, grid_points)
+    inside = merge_distinct(rs[(rs > r_in) & (rs < r_out)],
+                            [w for w in witnesses if r_in < w < r_out])
+    dirs = np.concatenate([np.eye(n), -np.eye(n)])
+    return ArrayDomain(f"annulus({r_in:g},{r_out:g})",
+                       (inside[:, None, None] * dirs[None, :, :]).reshape(-1, n),
+                       (np.array([r_in, r_out])[:, None, None] * dirs[None, :, :]).reshape(-1, n))
+
+
+def box_domain(intervals, grid_points: int = 11) -> ArrayDomain:
     """Axis-aligned box given per-axis (lo, hi); boundary = face samples."""
     intervals = [(float(lo), float(hi)) for lo, hi in intervals]
     n = len(intervals)
@@ -57,7 +112,51 @@ def box_domain(intervals, grid_points: int = 11) -> DomainSpec:
     for i, (lo, hi) in enumerate(intervals):
         on_face |= (grid[:, i] == lo) | (grid[:, i] == hi)
     label = "box(" + ",".join(f"[{lo:g},{hi:g}]" for lo, hi in intervals) + ")"
-    return DomainSpec(label, grid[~on_face], grid[on_face])
+    return ArrayDomain(label, grid[~on_face], grid[on_face])
+
+
+def swept(f, domain, reduction, boundary_first: bool = True):
+    """The reduction, fed every block of f sampled on the domain, the
+    boundary first as a value domain is swept."""
+    sample(lambda x: (f(x),), domain, [reduction], boundary_first)
+    return reduction
+
+
+def sampled_residuals(residual, u, domain, f_map=None, fd_step: float | None = None) -> Extremum:
+    """The residual checks' reduction: the running sup of the norm
+    ``residual(u_jets, f_jets)`` over the domain, from the jets of u and of
+    f_map (None without one), analytic or, with fd_step, from the
+    finite-difference oracle."""
+    if fd_step is None:
+        get = lambda m, x: m.map_jet(x)  # noqa: E731
+    else:
+        get = lambda m, x: finite_difference_map_jet(m, x, h=fd_step)  # noqa: E731
+    return swept(lambda x: residual(get(u, x), None if f_map is None else get(f_map, x)),
+                 domain, Extremum(), boundary_first=False)
+
+
+def sampled_deviation(u, domain, target_sq: float) -> Extremum:
+    """The conservation check's reduction: the running sup of |Du|²'s
+    deviation from target_sq, from u's analytic jets."""
+    return swept(lambda x: np.abs(grad_norm_sq(u.map_jet(x)) - target_sq), domain, Extremum(),
+                 boundary_first=False)
+
+
+def sampled_principle(f, domain) -> PrincipleExtrema:
+    """max_principle_check's reduction of the scalar field f."""
+    return swept(f, domain, PrincipleExtrema(lambda values: values, domain.n_interior))
+
+
+def sampled_along(u, domain, xi) -> PrincipleExtrema:
+    """directional_check's reduction: the extrema of xi · u."""
+    xi = np.asarray(xi, dtype=float)
+    project = lambda values: np.vecdot(values, xi)  # noqa: E731
+    return swept(u.value, domain, PrincipleExtrema(project, domain.n_interior))
+
+
+def sampled_hull(u, domain) -> HullReduction:
+    """hull_check's reduction of u's values."""
+    return swept(u.value, domain, HullReduction(domain.n_interior))
 
 
 def merged_reference(grid, extra) -> np.ndarray:

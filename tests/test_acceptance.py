@@ -12,13 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from inflap.checkers import max_principle_check, residual_certify, sample, slab_domain
+from inflap.checkers import max_principle_check, residual_certify, slab_domain
 from inflap.maps import CurveMap, PolarSpiralMap
 from inflap.profiles import ArcComplement, BumpW1, GaussianRho, PolarPhase, choose_M
 from inflap.reports import emit_report
 from inflap.scenarios import ScenarioConfig, _tangential_residual, run_scenario
 
-from helpers import refine_abscissas, sampled_residuals
+from helpers import refine_abscissas, sampled_principle, sampled_residuals
 
 INV_E = 0.36787944117144233          # exp(-1)
 ONE_MINUS_INV_E = 0.6321205588285577  # 1 - exp(-1)
@@ -156,7 +156,7 @@ def test_criterion_8_determinism_and_monotonicity(reports):
             )
             sup_moduli.append(
                 max_principle_check(
-                    sample(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d
+                    sampled_principle(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d
                 ).sup_interior
             )
             ts = refine_abscissas(ts)

@@ -13,13 +13,11 @@ import pytest
 
 from inflap.checkers import (
     CheckEvaluationError,
-    DomainSpec,
     annulus_domain,
     conservation_check,
     directional_check,
     hull_check,
     residual_certify,
-    sample,
     slab_domain,
 )
 from inflap.jets import EvaluationError
@@ -43,7 +41,17 @@ from inflap.profiles import (
 )
 from inflap.scenarios import _tangential_residual
 
-from helpers import exact, sampled_grad_sq, sampled_residuals
+from helpers import (
+    ArrayDomain,
+    all_points,
+    boundary,
+    exact,
+    interior,
+    sampled_along,
+    sampled_deviation,
+    sampled_hull,
+    sampled_residuals,
+)
 
 # seams, branch switches, extrema and table edges of the profiles
 SPECIAL = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 1e-12, -1e-12, 2.0 - 1e-12, 1.5)
@@ -143,9 +151,9 @@ CHECKS = [
     lambda u, d: residual_certify(
         sampled_residuals(_tangential_residual, u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
     ),
-    lambda u, d: directional_check(sample(u.value, d), [1.0, 0.0], d),
-    lambda u, d: conservation_check(sampled_grad_sq(u, d), d, 1.0, tol=1.0),
-    lambda u, d: hull_check(sample(u.value, d), d),
+    lambda u, d: directional_check(sampled_along(u, d, [1.0, 0.0]), [1.0, 0.0], d),
+    lambda u, d: conservation_check(sampled_deviation(u, d, 1.0), d, 1.0, tol=1.0),
+    lambda u, d: hull_check(sampled_hull(u, d), d),
 ]
 CHECK_IDS = ["residual_analytic", "residual_fd", "principle", "conservation", "hull"]
 
@@ -162,7 +170,7 @@ class TestFirstFailure:
 
     @pytest.mark.parametrize("check", CHECKS, ids=CHECK_IDS)
     def test_first_failing_point_and_message(self, polar, check):
-        d = DomainSpec("slab", self.INTERIOR, np.array([[-1.0], [1.0]]))
+        d = ArrayDomain("slab", self.INTERIOR, np.array([[-1.0], [1.0]]))
         with pytest.raises(CheckEvaluationError) as exc:
             check(polar, d)
         assert str(exc.value) == self.MESSAGE
@@ -173,12 +181,13 @@ class TestFirstFailure:
         # at n = 3 each abscissa has 9 adjacent cross-section copies; in the
         # slab's order -2.7 comes first, and 2.5 fails as well
         u = maps["polar_n3"]
-        interior = slab_domain(-3.0, 3.0, n=3, grid_points=2, witnesses=[0.5, 2.5, 1.0, -2.7, 0.0]).interior
-        boundary = slab_domain(-1.0, 1.0, n=3, grid_points=2).boundary
+        inner = interior(slab_domain(-3.0, 3.0, n=3, grid_points=2,
+                                     witnesses=[0.5, 2.5, 1.0, -2.7, 0.0]))
+        outer = boundary(slab_domain(-1.0, 1.0, n=3, grid_points=2))
         with pytest.raises(CheckEvaluationError) as exc:
-            check(u, DomainSpec("slab", interior, boundary))
+            check(u, ArrayDomain("slab", inner, outer))
         with pytest.raises(CheckEvaluationError) as alone:
-            check(u, DomainSpec("slab", interior[:1], boundary))
+            check(u, ArrayDomain("slab", inner[:1], outer))
         assert str(exc.value) == str(alone.value) == (
             "evaluation failed at [-2.7, -0.5, -0.5]: phase evaluation at t=-2.7 outside the "
             "guarded range |t| <= 2.0")
@@ -196,14 +205,14 @@ class TestFirstFailure:
         # in slab order 0.5 and 1.0 come first, so every failing prefix holds
         # repeated variables before the first copy of 2.5
         u = maps["polar_n3"]
-        interior = slab_domain(-3.0, 3.0, n=3, grid_points=2, witnesses=[0.5, 2.5, 1.0]).interior
-        boundary = slab_domain(-1.0, 1.0, n=3, grid_points=2).boundary
+        inner = interior(slab_domain(-3.0, 3.0, n=3, grid_points=2, witnesses=[0.5, 2.5, 1.0]))
+        outer = boundary(slab_domain(-1.0, 1.0, n=3, grid_points=2))
         check = CHECKS[CHECK_IDS.index("residual_fd")]
         with pytest.raises(CheckEvaluationError) as exc:
-            check(u, DomainSpec("slab", interior, boundary))
-        first = interior[np.flatnonzero(interior[:, 0] == 2.5)[0]]
+            check(u, ArrayDomain("slab", inner, outer))
+        first = inner[np.flatnonzero(inner[:, 0] == 2.5)[0]]
         with pytest.raises(CheckEvaluationError) as alone:
-            check(u, DomainSpec("slab", first[None], boundary))
+            check(u, ArrayDomain("slab", first[None], outer))
         assert str(exc.value) == str(alone.value) == (
             "evaluation failed at [2.5, -0.5, -0.5]: phase evaluation at t=2.5 outside the "
             "guarded range |t| <= 2.0")
@@ -212,7 +221,7 @@ class TestFirstFailure:
     def test_radial_origin(self, maps):
         u = maps["radial_n3"]
         interior = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        d = DomainSpec("annulus", interior, np.array([[3.0, 0.0, 0.0]]))
+        d = ArrayDomain("annulus", interior, np.array([[3.0, 0.0, 0.0]]))
         with pytest.raises(CheckEvaluationError) as exc:
             residual_certify(sampled_residuals(_tangential_residual, u, d), d, 1.0)
         assert str(exc.value) == ("evaluation failed at [0.0, 0.0, 0.0]: "
@@ -235,7 +244,7 @@ def test_copies_of_one_variable_are_evaluated_once(maps):
     w1 = BumpW1()
     u = CurveMap(w1, ArcComplement(w1, maps["curve_n3"].second.M, cells=512), n=3, N=2)
     d = slab_domain(-3.0, 3.0, n=3, grid_points=201)
-    pts = np.concatenate([d.interior, d.boundary])
+    pts = all_points(d)
     args = _record_arguments(w1)
     u.value(pts)
     u.map_jet(pts)
@@ -246,7 +255,7 @@ def test_a_batch_without_repeats_is_evaluated_as_it_is():
     w1 = BumpW1()
     u = ScalarProfileMap(w1, n=1)
     d = slab_domain(-3.0, 3.0, n=1, grid_points=201)
-    pts = np.concatenate([d.interior, d.boundary])
+    pts = all_points(d)
     args = _record_arguments(w1)
     u.value(pts)
     u.map_jet(pts)
@@ -275,7 +284,7 @@ def _count_scalar_reads(u):
 ], ids=["slab_n3_repeats", "slab_n1_no_repeats", "annulus_n3"])
 def test_fd_oracle_reads_each_shifted_batch_once(maps, name, domain):
     u = copy.copy(maps[name])
-    pts, h = domain().interior, 1e-4
+    pts, h = interior(domain()), 1e-4
     calls = _count_scalar_reads(u)
     finite_difference_map_jet(u, pts, h=h)
     assert len(calls) == 1 + 2 * u.n + 4 * math.comb(u.n, 2)
@@ -286,13 +295,13 @@ def test_fd_oracle_evaluates_each_distinct_shifted_variable_once(maps):
     w1 = BumpW1()
     u = CurveMap(w1, ArcComplement(w1, maps["curve_n3"].second.M, cells=512), n=3, N=2)
     d = slab_domain(-3.0, 3.0, n=3, grid_points=201)
-    x1, h = d.interior[:, 0], 1e-4
+    x1, h = interior(d)[:, 0], 1e-4
     # the shifts along x2 and x3 add 0.0 to x1
     shifted = np.concatenate([x1, x1 + h, x1 - h, x1 + 0.0])
     distinct = np.unique(shifted.view(np.int64))
     calls = _count_scalar_reads(u)
     args = _record_arguments(w1)
-    finite_difference_map_jet(u, d.interior, h=h)
+    finite_difference_map_jet(u, interior(d), h=h)
     assert len(calls) == 1 + 2 * 3 + 4 * 3
     # first.value(s) comes first; the complement's panel nodes have its size
     np.testing.assert_array_equal(np.sort(args[0].view(np.int64)), distinct)
@@ -306,7 +315,7 @@ def test_fd_oracle_evaluates_each_distinct_shifted_variable_once(maps):
 def test_fd_oracle_without_repeats_evaluates_every_shift():
     w1 = BumpW1()
     u = ScalarProfileMap(w1, n=1)
-    pts = slab_domain(-3.0, 3.0, n=1, grid_points=201).interior
+    pts = interior(slab_domain(-3.0, 3.0, n=1, grid_points=201))
     calls = _count_scalar_reads(u)
     args = _record_arguments(w1)
     finite_difference_map_jet(u, pts, h=1e-4)

@@ -44,7 +44,8 @@ def test_setup_probe_runs():
     ["--workload", "all", "--seconds", "0", "--trace", "0"],
     ["--workload", "all_default", "--seconds", "0", "--seed", "1"],
     ["--workload", "all_default", "--seconds", "0", "--seed", "17"],
-], ids=["all", "all_default-seed1", "all_default-seed17"])
+    ["--workload", "all", "--seconds", "0", "--trace", "1"],
+], ids=["all", "all_default-seed1", "all_default-seed17", "all-traced"])
 def test_benchmark_result_line(args):
     # run.py exits 0 even when every verify process of a workload fails (its
     # result then holds setup_s only), so the last line itself is checked
@@ -54,7 +55,9 @@ def test_benchmark_result_line(args):
     assert result["correct"] is True and result["failed"] == 0, result
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    metrics = [m["name"] for m in spec["end_to_end"]]
+    # a traced run reports the per-layer metrics
+    traced = args[-2:] == ["--trace", "1"]
+    metrics = [m["name"] for m in spec["per_layer" if traced else "end_to_end"]]
     workloads = [w["name"] for w in spec["workloads"]] if args[1] == "all" else [args[1]]
     assert result["attempted"] >= len(workloads)
     expected = {f"{w}.{m}" for w in workloads for m in metrics} if args[1] == "all" else metrics

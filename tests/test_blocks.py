@@ -1,14 +1,14 @@
 """Every field is sampled in consecutive blocks of at most BLOCK_POINTS
 domain points, and the speed-bound grid in blocks of as many nodes.
 Each point is evaluated once, reports equal those of one whole-domain batch
-byte for byte, the first failure is named as one batch names it, one value
-field is alive at a time, and the traced peak of a run grows far slower
-than its domain."""
+byte for byte, the first failure is named as one batch names it, one
+block's results are alive at a time, and the traced peak of a run does not
+grow with its grid."""
 
 import gc
 import math
-import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,24 +26,30 @@ from inflap.checkers import (
     sample,
     slab_domain,
 )
-from inflap.jets import BLOCK_POINTS
+from inflap.jets import BLOCK_POINTS, EvaluationError
 from inflap.maps import MapJet, PolarSpiralMap, VectorMap
 from inflap.profiles import GaussianRho, PolarPhase, choose_M
 from inflap.reports import emit_report
 from inflap.scenarios import ScenarioConfig, _tangential_residual, construction, run_scenario
 
-from helpers import sampled_grad_sq, sampled_residuals
+from helpers import (
+    ArrayDomain,
+    all_points,
+    exact,
+    sampled_along,
+    sampled_deviation,
+    sampled_hull,
+    sampled_principle,
+    sampled_residuals,
+    traced_peak,
+)
 
 WHOLE = 10**9  # a block size no domain here reaches: one batch per field
 
 
-def _all_points(d: DomainSpec) -> np.ndarray:
-    return np.concatenate([d.interior, d.boundary])
-
-
-def test_each_point_is_evaluated_once_in_domain_order():
-    # 2·BLOCK_POINTS + 99 interior points and 2 boundary points: three blocks,
-    # the last one spanning the join of interior and boundary
+def _swept_blocks(boundary_first: bool):
+    """Sweep a slab of 2·BLOCK_POINTS + 99 interior points and 2 boundary
+    points; its blocks, and the start and result each recorder got."""
     d = slab_domain(-3.0, 3.0, grid_points=2 * BLOCK_POINTS + 101)
     blocks = []
 
@@ -51,11 +57,46 @@ def test_each_point_is_evaluated_once_in_domain_order():
         blocks.append(x.copy())
         return 2.0 * x[:, 0], x
 
-    doubled, points = sample(field, d)
-    assert len(blocks) == 3 and all(len(b) <= BLOCK_POINTS for b in blocks)
-    np.testing.assert_array_equal(np.concatenate(blocks), _all_points(d))
-    np.testing.assert_array_equal(points, _all_points(d))
-    np.testing.assert_array_equal(doubled, 2.0 * _all_points(d)[:, 0])
+    class Recorder(list):
+        def feed(self, values, start):
+            self.append((start, values))
+
+    doubled, points = Recorder(), Recorder()
+    sample(field, d, [doubled, points], boundary_first)
+    assert [start for start, _ in doubled] == [start for start, _ in points]
+    return d, blocks, doubled, points
+
+
+def _assert_domain_order(d, blocks, doubled, points):
+    # each recorder got every point once; in domain order, their values
+    assert all(len(b) <= BLOCK_POINTS for b in blocks)
+    assert sum(map(len, blocks)) == len(d)
+
+    def in_order(fed):
+        return np.concatenate([v for _, v in sorted(fed, key=lambda s: s[0])])
+
+    np.testing.assert_array_equal(in_order(points), all_points(d))
+    np.testing.assert_array_equal(in_order(doubled), 2.0 * all_points(d)[:, 0])
+
+
+def test_each_point_is_evaluated_once_in_domain_order():
+    # three blocks, the last one spanning the join of interior and boundary
+    d, blocks, doubled, points = _swept_blocks(boundary_first=False)
+    assert [start for start, _ in doubled] == [0, BLOCK_POINTS, 2 * BLOCK_POINTS]
+    np.testing.assert_array_equal(np.concatenate(blocks), all_points(d))
+    _assert_domain_order(d, blocks, doubled, points)
+
+
+def test_boundary_first_sweep_tops_up_the_boundary_block():
+    # the 2 boundary points and the first BLOCK_POINTS - 2 interior ones,
+    # evaluated in domain order and fed boundary first; then the interior
+    d, blocks, doubled, points = _swept_blocks(boundary_first=True)
+    m, rest = d.n_interior, BLOCK_POINTS - 2
+    assert [len(b) for b in blocks] == [BLOCK_POINTS, BLOCK_POINTS, 101]
+    first = np.concatenate([d.points(0, rest), d.points(m, m + 2)])
+    np.testing.assert_array_equal(blocks[0], first)
+    assert [start for start, _ in doubled] == [m, 0, rest, rest + BLOCK_POINTS]
+    _assert_domain_order(d, blocks, doubled, points)
 
 
 def _emitted(monkeypatch, scenario, block):
@@ -72,16 +113,15 @@ def test_blocks_give_the_whole_batch_report(monkeypatch, scenario):
     # every domain here holds 1,806 (annulus) or 2,709 points or more: at least 4 blocks
     fields = []
 
-    def counted_sample(f, domain):
+    def counted_sample(f, domain, *args, **kwargs):
         seen = []
 
         def field(x):
             seen.append(len(x))
             return f(x)
 
-        out = sample(field, domain)
+        sample(field, domain, *args, **kwargs)
         fields.append((len(domain), seen))
-        return out
 
     monkeypatch.setattr(scenarios, "sample", counted_sample)
     assert _emitted(monkeypatch, scenario, 500) == whole
@@ -108,17 +148,17 @@ def test_each_value_domain_is_sampled_once(monkeypatch, scenario):
     assert len(set(names)) == len(names) and names.count("hull") <= 1
     assert set(spec.detect) <= set(names) - {"hull"}
 
-    # each sampled field's domain label, and the value fields each checker reads
+    # each sampled field's domain label, and the domain each checker reads
     labels, read = [], []
 
-    def recorded_sample(f, domain):
+    def recorded_sample(f, domain, *args, **kwargs):
         labels.append(domain.label)
-        return sample(f, domain)
+        sample(f, domain, *args, **kwargs)
 
     def reader(checker):
-        def check(values, *args, **kwargs):
-            read.append(values)
-            return checker(values, *args, **kwargs)
+        def check(*args):
+            read.append(next(a for a in args if isinstance(a, DomainSpec)))
+            return checker(*args)
         return check
 
     monkeypatch.setattr(scenarios, "sample", recorded_sample)
@@ -129,26 +169,33 @@ def test_each_value_domain_is_sampled_once(monkeypatch, scenario):
     assert labels == [residual, residual] + [_label(key) for key, _ in spec.values]
     assert list(report.principle) == [name for name in names if name != "hull"]
     if scenario == "ex1b":
-        # xi_e1 and the hull check read the one sample of the annulus
+        # xi_e1 and the hull check reduce the one sweep of the annulus
         assert len(read) == 2 and read[0] is read[1]
         assert report.hull.domain == report.principle["xi_e1"].domain == residual
 
 
 def test_one_value_field_is_alive_at_a_time(monkeypatch):
-    # ex1a reads three value domains: (-2, 0), (0, 2) and the hull's (-2, 2)
-    alive = []
+    # before each block is evaluated, the results of every block but the
+    # last are gone: no sweep keeps what it hands to its reductions
+    monkeypatch.setattr(checkers, "BLOCK_POINTS", 64)
+    blocks, swept = [], []
 
-    def watched_sample(f, domain):
-        gc.collect()
-        assert all(ref() is None for ref in alive)
-        out = sample(f, domain)
-        if not isinstance(out, tuple):
-            alive.append(weakref.ref(out))
-        return out
+    def watched_sample(f, domain, *args, **kwargs):
+        def field(x):
+            gc.collect()
+            assert all(ref() is None for refs in blocks[:-1] for ref in refs)
+            result = f(x)
+            blocks.append([weakref.ref(r) for r in result])
+            return result
+
+        swept.append(domain.label)
+        sample(field, domain, *args, **kwargs)
 
     monkeypatch.setattr(scenarios, "sample", watched_sample)
     assert run_scenario(ScenarioConfig(scenario="ex1a", n=2, grid_points=51)).overall_pass
-    assert len(alive) == 3
+    # two sweeps of the residual slab and three value domains, each of
+    # several blocks
+    assert len(swept) == 5 and len(blocks) > 2 * len(swept)
 
 
 @pytest.fixture(scope="module")
@@ -182,10 +229,12 @@ CHECKS = {
     "residual_fd": lambda u, d: residual_certify(
         sampled_residuals(_tangential_residual, u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
     ),
-    "principle": lambda u, d: max_principle_check(sample(lambda x: u.value(x)[..., 0], d), d),
-    "directional": lambda u, d: directional_check(sample(u.value, d), [1.0, 0.0], d),
-    "conservation": lambda u, d: conservation_check(sampled_grad_sq(u, d), d, 1.0, tol=1.0),
-    "hull": lambda u, d: hull_check(sample(u.value, d), d),
+    "principle": lambda u, d: max_principle_check(
+        sampled_principle(lambda x: u.value(x)[..., 0], d), d
+    ),
+    "directional": lambda u, d: directional_check(sampled_along(u, d, [1.0, 0.0]), [1.0, 0.0], d),
+    "conservation": lambda u, d: conservation_check(sampled_deviation(u, d, 1.0), d, 1.0, tol=1.0),
+    "hull": lambda u, d: hull_check(sampled_hull(u, d), d),
 }
 
 # 13 interior points: with blocks of 4, the first failure (index 9) lies in
@@ -198,7 +247,7 @@ BOUNDARY = np.array([[-1.5], [1.5]])
 def _failure(monkeypatch, check, u, block):
     monkeypatch.setattr(checkers, "BLOCK_POINTS", block)
     with pytest.raises(CheckEvaluationError) as exc:
-        check(u, DomainSpec("slab", INTERIOR, BOUNDARY))
+        check(u, ArrayDomain("slab", INTERIOR, BOUNDARY))
     return str(exc.value), exc.value.point.tolist()
 
 
@@ -219,16 +268,123 @@ def test_nan_in_a_later_block(monkeypatch, check):
     assert _failure(monkeypatch, check, u, 4) == whole
 
 
-def _traced_peak(grid_points: int) -> int:
-    tracemalloc.start()
-    try:
-        run_scenario(ScenarioConfig(scenario="ex1a", n=3, grid_points=grid_points))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _traced_peak(scenario: str, grid_points: int, n: int = 1) -> int:
+    cfg = ScenarioConfig(scenario=scenario, n=n, grid_points=grid_points)
+    return traced_peak(lambda: run_scenario(cfg))
 
 
 def test_traced_peak_grows_far_slower_than_the_domain():
     # four times the points (18,009 -> 72,009 on the residual slab); whole-
     # domain batches quadrupled the peak with them, 8.9 -> 30.6 MB
-    assert _traced_peak(8001) < 2 * _traced_peak(2001)
+    assert _traced_peak("ex1a", 8001, n=3) < 2 * _traced_peak("ex1a", 2001, n=3)
+
+
+@pytest.mark.parametrize("scenario, n, small, large", [
+    # stored points and per-point results: 2.5 -> 16.0 MB
+    ("ex1a", 3, 2001, 32_001),
+    # the peak is one block's jets, largest for a block inside the bump's
+    # support: every grid from 16,001 has one (0.96 MB), while at 2,001 the
+    # one block of 2,003 points stays below set-up's 0.43 MB peak
+    ("ex3", 1, 16_001, 200_001),
+])
+def test_traced_peak_is_flat_in_the_grid(scenario, n, small, large):
+    assert _traced_peak(scenario, large, n) < 1.2 * _traced_peak(scenario, small, n)
+
+
+class _Injected(VectorMap):
+    """x -> (x1, x1²), except at the abscissas of ``rows``, where the value
+    is that row, and those of ``errors``, where an EvaluationError is raised."""
+
+    def __init__(self, n: int, rows=None, errors=(), value=None):
+        super().__init__(n, 2)
+        self.rows, self.errors = rows or {}, errors
+        self.base = value or (lambda x: np.stack([x[:, 0], x[:, 0] ** 2], axis=-1))
+
+    def value(self, x):
+        x = self._as_point(x)
+        failing = np.isin(x[:, 0], self.errors)
+        if failing.any():
+            raise EvaluationError(f"injected at x1 = {x[failing, 0][0]!r}")
+        out = self.base(x)
+        for t, row in self.rows.items():
+            out[x[:, 0] == t] = row
+        return out
+
+    def map_jet(self, x) -> MapJet:
+        value = self.value(x)
+        return MapJet(value, np.zeros(value.shape + (self.n,)),
+                      np.zeros(value.shape + (self.n, self.n)))
+
+
+NODES = np.linspace(-2.0, 0.0, 11)  # the value slab's grid at grid_points=11
+
+
+def _run_injected(monkeypatch, u, checks, n=1, block=4):
+    """ex1a's runner on ``u`` with one value slab (-2, 0) and the given
+    checks; its residual slab (5, 6) holds no injected abscissa."""
+    monkeypatch.setattr(checkers, "BLOCK_POINTS", block)
+    spec = replace(
+        construction("ex1a"), build=lambda profile, M, cfg: (u, None),
+        residual=lambda u_jets, f_jets: np.zeros(len(u_jets.value)),
+        residual_domain=("slab", 5.0, 6.0), conservation_scale=None,
+        values=((("slab", -2.0, 0.0), checks),), detect=("xi_e1",),
+    )
+    monkeypatch.setitem(scenarios._CONSTRUCTIONS, "ex1a", spec)
+    return run_scenario(ScenarioConfig(scenario="ex1a", n=n, grid_points=11))
+
+
+class TestPrecedence:
+    """Which failure a run names when a field has several."""
+
+    ALONG = (("xi_e1", scenarios._along(0)),)
+
+    def test_an_evaluation_error_wins_over_an_earlier_nan(self, monkeypatch):
+        # blocks of 4: the NaN at node 1 is in the first interior block, the
+        # error at node 9 in the third
+        u = _Injected(1, rows={NODES[1]: (math.nan, 0.0)}, errors=(NODES[9],))
+        with pytest.raises(CheckEvaluationError, match=r"injected at x1 = ") as exc:
+            _run_injected(monkeypatch, u, self.ALONG)
+        np.testing.assert_array_equal(exc.value.point, [NODES[9]])
+
+    def test_the_first_check_names_its_nan(self, monkeypatch):
+        # the modulus of (1e200, 0) overflows at node 2, before the NaN at
+        # node 6 that the first check, xi_e1, meets
+        u = _Injected(1, rows={NODES[2]: (1e200, 0.0), NODES[6]: (math.nan, 0.0)})
+        checks = self.ALONG + (("modulus", scenarios._modulus),)
+        with np.errstate(over="ignore"), pytest.raises(
+            CheckEvaluationError, match="sampled value nan is not finite"
+        ) as exc:
+            _run_injected(monkeypatch, u, checks)
+        np.testing.assert_array_equal(exc.value.point, [NODES[6]])
+        # first, the modulus names its own first non-finite value
+        with np.errstate(over="ignore"), pytest.raises(
+            CheckEvaluationError, match="sampled value inf is not finite"
+        ) as exc:
+            _run_injected(monkeypatch, u, checks[::-1])
+        np.testing.assert_array_equal(exc.value.point, [NODES[2]])
+
+    def test_an_interior_failure_wins_over_a_boundary_one(self, monkeypatch):
+        # the hull's domain is swept boundary first; -2 is a boundary abscissa
+        u = _Injected(1, errors=(-2.0, NODES[7]))
+        with pytest.raises(CheckEvaluationError) as exc:
+            _run_injected(monkeypatch, u, self.ALONG + (("hull", scenarios._hull),))
+        np.testing.assert_array_equal(exc.value.point, [NODES[7]])
+        # with no interior failure the boundary one is named
+        u = _Injected(1, errors=(-2.0,))
+        with pytest.raises(CheckEvaluationError) as exc:
+            _run_injected(monkeypatch, u, self.ALONG + (("hull", scenarios._hull),))
+        np.testing.assert_array_equal(exc.value.point, [-2.0])
+
+    def test_a_segment_refusal_comes_after_a_non_finite_image(self, monkeypatch):
+        # (x1, x2) sends the boundary of the slab to 6 distinct points
+        plane = lambda x: x[:, :2].copy()  # noqa: E731
+        checks = (("hull", scenarios._hull),) + self.ALONG
+        u = _Injected(2, rows={NODES[3]: (math.nan, 0.0)}, value=plane)
+        with pytest.raises(CheckEvaluationError, match="not finite") as exc:
+            _run_injected(monkeypatch, u, checks, n=2)
+        np.testing.assert_array_equal(exc.value.point, [NODES[3], -0.5])
+        with pytest.raises(ValueError, match=exact(
+            "boundary image has 6 distinct points; expected 1 or 2"
+        )) as exc:
+            _run_injected(monkeypatch, _Injected(2, value=plane), checks, n=2)
+        assert not isinstance(exc.value, EvaluationError)

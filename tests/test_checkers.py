@@ -1,24 +1,22 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from inflap.checkers import (
     CheckEvaluationError,
-    DomainSpec,
+    Extremum,
     annulus_domain,
     conservation_check,
     directional_check,
     hull_check,
     max_principle_check,
     residual_certify,
-    sample,
     slab_domain,
 )
 from inflap.hull import _segment_ends, max_outside_distance
-from inflap.jets import merge_distinct
+from inflap.jets import BLOCK_POINTS, merge_distinct
 from inflap.maps import (
     CurveMap,
     MapJet,
@@ -44,13 +42,23 @@ from inflap.scenarios import (
 )
 
 from helpers import (
+    ArrayDomain,
     affine_map,
+    all_points,
+    boundary,
     box_domain,
     exact,
+    interior,
     merged_reference,
+    reference_annulus,
+    reference_slab,
     refine_abscissas,
-    sampled_grad_sq,
+    sampled_along,
+    sampled_deviation,
+    sampled_hull,
+    sampled_principle,
     sampled_residuals,
+    traced_peak,
 )
 
 INV_E = math.exp(-1.0)
@@ -92,33 +100,33 @@ def ex3_setup():
 class TestDomains:
     def test_slab_samples(self):
         d = slab_domain(0.0, 2.0, grid_points=11, witnesses=WITNESSES)
-        assert np.all((d.interior[:, 0] > 0.0) & (d.interior[:, 0] < 2.0))
-        assert 1.0 in d.interior[:, 0]
-        assert sorted(d.boundary[:, 0]) == [0.0, 2.0]
+        assert np.all((interior(d)[:, 0] > 0.0) & (interior(d)[:, 0] < 2.0))
+        assert 1.0 in interior(d)[:, 0]
+        assert sorted(boundary(d)[:, 0]) == [0.0, 2.0]
 
     def test_slab_cross_sections(self):
         d = slab_domain(-1.0, 1.0, n=3, grid_points=5, cross_extent=2.0)
-        assert d.interior.shape[1] == 3
-        assert set(np.unique(d.interior[:, 1])) == {-1.0, 0.0, 1.0}
-        assert np.all(np.abs(d.boundary[:, 0]) == 1.0)
+        assert interior(d).shape[1] == 3
+        assert set(np.unique(interior(d)[:, 1])) == {-1.0, 0.0, 1.0}
+        assert np.all(np.abs(boundary(d)[:, 0]) == 1.0)
 
     def test_annulus_one_dimensional(self):
         d = annulus_domain(1.0, 3.0, n=1, grid_points=11, witnesses=(2.0,))
-        assert len(d.boundary) == 4
-        assert sorted(np.abs(d.boundary[:, 0])) == [1.0, 1.0, 3.0, 3.0]
-        radii = np.abs(d.interior[:, 0])
+        assert len(boundary(d)) == 4
+        assert sorted(np.abs(boundary(d)[:, 0])) == [1.0, 1.0, 3.0, 3.0]
+        radii = np.abs(interior(d)[:, 0])
         assert np.all((radii > 1.0) & (radii < 3.0))
         assert 2.0 in radii
 
     def test_annulus_boundary_equation(self):
         d = annulus_domain(1.0, 3.0, n=3, grid_points=7)
-        r = np.linalg.norm(d.boundary, axis=1)
+        r = np.linalg.norm(boundary(d), axis=1)
         assert np.all(np.minimum(np.abs(r - 1.0), np.abs(r - 3.0)) <= 1e-14)
 
     def test_box_split(self):
         d = box_domain([(-1.0, 1.0), (0.0, 2.0)], grid_points=5)
-        assert len(d.interior) == 9
-        assert len(d.boundary) == 16
+        assert len(interior(d)) == 9
+        assert len(boundary(d)) == 16
 
     def test_refine_contains_coarse_grid(self):
         base = np.linspace(-1.0, 1.0, 41)
@@ -129,6 +137,138 @@ class TestDomains:
     def test_degenerate_slab_rejected(self):
         with pytest.raises(ValueError):
             slab_domain(1.0, 1.0)
+
+
+def _witness_cases(lo: float, hi: float, grid_points: int):
+    """Witness lists against the grid of [lo, hi]: a node, one ulp either
+    side of a node, repeats, the ends, values outside, and signed zeros."""
+    node = np.linspace(lo, hi, grid_points)[grid_points // 3]
+    mid = 0.5 * (lo + hi)
+    return [
+        (),
+        WITNESSES,
+        (node, np.nextafter(node, hi), np.nextafter(node, lo)),
+        (mid, mid, 0.25 * lo + 0.75 * hi, mid),
+        (lo, hi, lo - 1.0, hi + 7.5, math.nan),
+        (0.0, -0.0),
+    ]
+
+
+class TestGeneratedDomains:
+    """A domain writes the bits of the domain it stored before: every
+    block, in every partition, and every point."""
+
+    @staticmethod
+    def _assert_same(domain, reference, sizes):
+        assert (domain.label, len(domain), domain.n_interior) == (
+            reference.label, len(reference), reference.n_interior)
+        expected = all_points(reference)
+        for size in (s for s in sizes if len(domain) <= 2000 * s):  # at most 2,000 blocks
+            blocks = [domain.points(start, start + size) for start in range(0, len(domain), size)]
+            assert np.concatenate(blocks).tobytes() == expected.tobytes(), size
+        m, k = domain.n_interior, len(domain) - domain.n_interior
+        # a block that spans the join, and each point around it and at the ends
+        join = max(m - 3, 0)
+        assert domain.points(join, m + 2).tobytes() == expected[join : m + 2].tobytes()
+        # every point of a small domain; of a large one the first points,
+        # those around the join and the boundary
+        rows = range(len(domain))
+        if len(domain) > 500:
+            rows = {*range(40), *range(m - 20, len(domain))}
+        for i in rows:
+            assert domain.point(i).tobytes() == expected[i].tobytes(), i
+        assert k >= 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("grid_points", [2, 3, 11, 2001])
+    def test_small_grids_in_every_partition(self, n, grid_points):
+        for lo, hi in ((-3.0, 3.0), (-2.0, 0.0), (-1.5, 1.5)):
+            for witnesses in _witness_cases(lo, hi, grid_points):
+                d = slab_domain(lo, hi, n, grid_points, 1.0, witnesses)
+                ref = reference_slab(lo, hi, n, grid_points, 1.0, witnesses)
+                self._assert_same(d, ref, (1, 2, 3 ** (n - 1), 4 * n + 1, BLOCK_POINTS))
+        for lo, hi in ((1.0, 3.0), (0.5, 2.0)):
+            for witnesses in _witness_cases(lo, hi, grid_points):
+                d = annulus_domain(lo, hi, n, grid_points, witnesses)
+                ref = reference_annulus(lo, hi, n, grid_points, witnesses)
+                self._assert_same(d, ref, (1, 2, 2 * n, 5, BLOCK_POINTS))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_large_grid(self, n):
+        for witnesses in _witness_cases(-3.0, 3.0, 50_001)[:3]:
+            d = slab_domain(-3.0, 3.0, n, 50_001, 1.0, witnesses)
+            ref = reference_slab(-3.0, 3.0, n, 50_001, 1.0, witnesses)
+            self._assert_same(d, ref, (BLOCK_POINTS, 3 * BLOCK_POINTS + 7))
+        d = annulus_domain(1.0, 3.0, n, 50_001, WITNESSES)
+        self._assert_same(d, reference_annulus(1.0, 3.0, n, 50_001, WITNESSES), (BLOCK_POINTS,))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_width_section_keeps_its_signed_zero(self, n):
+        # half of the smallest subnormal extent is 0.0, so one offset is -0.0
+        for lo, hi in ((-3.0, 3.0), (0.0, 2.0)):
+            d = slab_domain(lo, hi, n, 11, 5e-324, WITNESSES)
+            self._assert_same(d, reference_slab(lo, hi, n, 11, 5e-324, WITNESSES), (1, 3, 7))
+
+    def test_annulus_keeps_signed_zeros(self):
+        # the -e_i directions put -0.0 in every coordinate but the i-th
+        d = annulus_domain(1.0, 3.0, n=2, grid_points=3)
+        assert np.signbit(d.point(2)).tolist() == [True, True]
+        assert np.signbit(d.point(3)).tolist() == [True, True]
+
+
+class TestExtremum:
+    """A running extremum fed block by block equals whole-array
+    np.argmax/np.argmin: the first index wins a tie, across blocks too."""
+
+    @staticmethod
+    def _fed(values, sizes, pick):
+        e, start = Extremum(pick), 0
+        for size in sizes:
+            e.feed(values[start : start + size], start)
+            start += size
+        return e
+
+    @pytest.mark.parametrize("pick", [np.argmax, np.argmin])
+    def test_random_blocks(self, pick):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            values = rng.integers(-5, 6, size=rng.integers(1, 60)).astype(float)
+            cuts = np.sort(rng.integers(0, len(values) + 1, size=rng.integers(0, 6)))
+            sizes = np.diff(np.concatenate([[0], cuts, [len(values)]]))
+            e = self._fed(values, sizes, pick)
+            i = int(pick(values))
+            assert (e.value, e.index) == (values[i], i)
+            assert e.result(lambda j: j, math.nan) == (values[i], i)
+
+    @pytest.mark.parametrize("pick", [np.argmax, np.argmin])
+    def test_tie_across_a_block_boundary(self, pick):
+        values = np.array([0.0, 2.0, -2.0, 1.0, 2.0, -2.0, -2.0])
+        e = self._fed(values, [2, 3, 2], pick)
+        assert e.index == int(pick(values)) == (1 if pick is np.argmax else 2)
+
+    def test_signed_zero_tie_keeps_the_first(self):
+        e = self._fed(np.array([-0.0, 0.0, 0.0]), [1, 2], np.argmax)
+        assert e.index == 0 and np.signbit(e.value)
+
+    def test_first_non_finite_row_is_recorded_and_raised(self):
+        e = Extremum()
+        e.feed(np.array([1.0, 2.0]), 0)
+        e.feed(np.array([3.0, math.inf, math.nan]), 2)
+        e.feed(np.array([math.nan]), 5)
+        assert e.bad[0] == 3
+        with pytest.raises(CheckEvaluationError, match=exact(
+            "evaluation failed at [3.0]: sampled value inf is not finite"
+        )) as exc:
+            e.result(lambda i: np.array([float(i)]), 0.0)
+        assert exc.value.point.tolist() == [3.0]
+        rows = Extremum()
+        rows.check(np.array([[0.0, 1.0], [math.nan, 1.0]]), 7)
+        assert rows.bad[0] == 8 and str(rows.bad[1]) == str(np.array([math.nan, 1.0]))
+
+    def test_nothing_fed_gives_the_empty_value(self):
+        e = Extremum()
+        e.feed(np.empty(0), 0)
+        assert e.result(lambda i: i, -math.inf) == (-math.inf, None)
 
 
 class TestWitnessMerge:
@@ -151,28 +291,22 @@ class TestWitnessMerge:
         merged = merge_distinct(grid, extra)
         assert merged.tobytes() == merged_reference(grid, extra).tobytes()
 
-    @pytest.mark.parametrize("grid_points", [2, 3, 11, 2001])
+    @pytest.mark.parametrize("grid_points", [2, 3, 11, 2001, 50_001])
     def test_domains_equal_the_reference_grid(self, grid_points):
         ts = np.linspace(-1.0, 2.0, grid_points)
-        interior = ts[(ts > -1.0) & (ts < 2.0)]
         inside = [w for w in (*WITNESSES, 0.5, 0.5) if -1.0 < w < 2.0]
-        expected = merged_reference(interior, inside)
+        expected = merged_reference(ts[(ts > -1.0) & (ts < 2.0)], inside)
         slab = slab_domain(-1.0, 2.0, grid_points=grid_points, witnesses=(*WITNESSES, 0.5, 0.5))
-        assert slab.interior[:, 0].tobytes() == expected.tobytes()
+        assert interior(slab)[:, 0].tobytes() == expected.tobytes()
         rs = np.linspace(0.5, 2.0, grid_points)
         inside = [w for w in WITNESSES if 0.5 < w < 2.0]
         expected = merged_reference(rs[(rs > 0.5) & (rs < 2.0)], inside)
         annulus = annulus_domain(0.5, 2.0, n=1, grid_points=grid_points, witnesses=WITNESSES)
-        assert annulus.interior[::2, 0].tobytes() == expected.tobytes()
+        assert interior(annulus)[::2, 0].tobytes() == expected.tobytes()
 
     def test_slab_traced_peak(self):
         # concatenating and sorting again peaked at 2.05 MB here
-        tracemalloc.start()
-        try:
-            slab_domain(-3.0, 3.0, grid_points=50_001, witnesses=WITNESSES)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: slab_domain(-3.0, 3.0, grid_points=50_001, witnesses=WITNESSES))
         assert peak < 1.5e6
 
 
@@ -228,7 +362,8 @@ class TestPrincipleChecks:
     def test_modulus_margin_on_polar_map(self, u3_setup):
         u3, _ = u3_setup
         d = slab_domain(-1.0, 1.0, grid_points=GRID, witnesses=WITNESSES)
-        v = max_principle_check(sample(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d)
+        modulus = sampled_principle(lambda x: np.linalg.norm(u3.value(x), axis=-1), d)
+        v = max_principle_check(modulus, d)
         assert v.sup_interior == pytest.approx(1.0, abs=1e-12)
         assert v.max_boundary == pytest.approx(INV_E, abs=1e-12)
         assert v.max_violation_margin == pytest.approx(1.0 - INV_E, abs=1e-12)
@@ -237,14 +372,14 @@ class TestPrincipleChecks:
     def test_directional_margin_on_annulus(self, u2_setup):
         u2, _ = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        v = directional_check(sample(u2.value, d), [1.0, 0.0], d)
+        v = directional_check(sampled_along(u2, d, [1.0, 0.0]), [1.0, 0.0], d)
         assert v.max_boundary == 0.0
         assert v.sup_interior == pytest.approx(INV_E, abs=1e-12)
         assert v.max_violation
 
     def test_constant_field_has_no_violation(self):
         d = slab_domain(-1.0, 1.0, grid_points=21)
-        v = max_principle_check(sample(lambda x: np.full(len(x), 3.25), d), d)
+        v = max_principle_check(sampled_principle(lambda x: np.full(len(x), 3.25), d), d)
         assert v.max_violation_margin <= 0.0
         assert v.min_violation_margin <= 0.0
 
@@ -252,8 +387,8 @@ class TestPrincipleChecks:
         u1, _ = u1_setup
         d_neg = slab_domain(-2.0, 0.0, grid_points=GRID, witnesses=WITNESSES)
         d_pos = slab_domain(0.0, 2.0, grid_points=GRID, witnesses=WITNESSES)
-        neg = directional_check(sample(u1.value, d_neg), [1.0, 0.0], d_neg)
-        pos = directional_check(sample(u1.value, d_pos), [1.0, 0.0], d_pos)
+        neg = directional_check(sampled_along(u1, d_neg, [1.0, 0.0]), [1.0, 0.0], d_neg)
+        pos = directional_check(sampled_along(u1, d_pos, [1.0, 0.0]), [1.0, 0.0], d_pos)
         assert neg.max_violation != pos.max_violation
         assert neg.min_violation != pos.min_violation
         assert neg.max_violation != neg.min_violation
@@ -265,18 +400,16 @@ class TestPrincipleChecks:
         u1, _ = u1_setup
         for a, b in ((-2.0, 0.0), (0.0, 2.0)):
             d = slab_domain(a, b, grid_points=GRID)
-            v = directional_check(sample(u1.value, d), [0.0, 1.0], d)
+            v = directional_check(sampled_along(u1, d, [0.0, 1.0]), [0.0, 1.0], d)
             assert not v.max_violation
             assert not v.min_violation
 
     def test_direction_scaling(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-2.0, 0.0, grid_points=101, witnesses=WITNESSES)
-        values = sample(u1.value, d)
-        base = directional_check(values, [1.0, 0.0], d)
-        scaled = directional_check(values, [4.0, 0.0], d)
+        base, scaled, general = (directional_check(sampled_along(u1, d, xi), xi, d)
+                                 for xi in ([1.0, 0.0], [4.0, 0.0], [1.7, 0.0]))
         assert scaled.max_violation_margin == 4.0 * base.max_violation_margin
-        general = directional_check(values, [1.7, 0.0], d)
         assert general.max_violation == base.max_violation
         assert general.max_violation_margin == pytest.approx(
             1.7 * base.max_violation_margin, rel=1e-12
@@ -286,14 +419,14 @@ class TestPrincipleChecks:
         u1, _ = u1_setup
         with pytest.raises(ValueError):
             d = slab_domain(-1.0, 1.0, grid_points=11)
-            directional_check(sample(u1.value, d), [0.0, 0.0], d)
+            directional_check(sampled_along(u1, d, [0.0, 0.0]), [0.0, 0.0], d)
 
 
 class TestHullChecks:
     def test_radial_map_escapes_hull(self, u2_setup):
         u2, _ = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        h = hull_check(sample(u2.value, d), d)
+        h = hull_check(sampled_hull(u2, d), d)
         assert not h.contained
         assert h.max_outside_distance == pytest.approx(INV_E, abs=1e-9)
         assert abs(h.witness_point[0]) == 2.0
@@ -301,7 +434,7 @@ class TestHullChecks:
     def test_curve_map_escapes_hull(self, u1_setup):
         u1, _ = u1_setup
         d = slab_domain(-2.0, 2.0, grid_points=GRID, witnesses=WITNESSES)
-        h = hull_check(sample(u1.value, d), d)
+        h = hull_check(sampled_hull(u1, d), d)
         assert not h.contained
         assert h.max_outside_distance == pytest.approx(INV_E, abs=1e-9)
 
@@ -311,24 +444,24 @@ class TestHullChecks:
 
     def test_affine_on_slab_is_contained(self):
         d = slab_domain(-1.0, 1.0, n=2, grid_points=9)
-        h = hull_check(sample(self.SEGMENT_MAP.value, d), d)
+        h = hull_check(sampled_hull(self.SEGMENT_MAP, d), d)
         assert h.contained
         assert h.max_outside_distance <= 1e-12
 
     def test_contained_implies_no_directional_violation(self):
         d = slab_domain(-1.0, 1.0, n=2, grid_points=9)
-        values = sample(self.SEGMENT_MAP.value, d)
-        assert hull_check(values, d).contained
+        assert hull_check(sampled_hull(self.SEGMENT_MAP, d), d).contained
         for k in range(64):
             theta = 2.0 * math.pi * k / 64.0
-            v = directional_check(values, [math.cos(theta), math.sin(theta)], d)
+            xi = [math.cos(theta), math.sin(theta)]
+            v = directional_check(sampled_along(self.SEGMENT_MAP, d, xi), xi, d)
             assert v.max_violation_margin <= 1e-9
 
     def test_needs_boundary_samples(self, u1_setup):
         u1, _ = u1_setup
-        empty = DomainSpec("slab", np.zeros((3, 1)), np.zeros((0, 1)))
+        empty = ArrayDomain("slab", np.zeros((3, 1)), np.zeros((0, 1)))
         with pytest.raises(ValueError):
-            hull_check(sample(u1.value, empty), empty)
+            hull_check(sampled_hull(u1, empty), empty)
 
 
 class TestHullGeometry:
@@ -417,7 +550,7 @@ class TestHullGeometry:
                 d = annulus_domain(lo, hi, n, cfg.grid_points, cfg.witnesses())
             else:
                 d = slab_domain(lo, hi, n, cfg.grid_points, cfg.cross_extent, cfg.witnesses())
-            images = sample(u.value, d)[len(d.interior):, :2]
+            images = u.value(boundary(d))[:, :2]
             assert len(np.unique(images, axis=0)) <= 2, (n, big_n, witnesses)
 
 
@@ -425,22 +558,25 @@ class TestConservation:
     def test_curve_map(self, u1_setup):
         u1, sb = u1_setup
         d = slab_domain(-3.0, 3.0, grid_points=GRID, witnesses=WITNESSES)
-        assert conservation_check(sampled_grad_sq(u1, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
+        rep = conservation_check(sampled_deviation(u1, d, sb.M**2), d, sb.M**2, tol=1e-10 * sb.M**2)
+        assert rep.passed
 
     def test_radial_map(self, u2_setup):
         u2, sb = u2_setup
         d = annulus_domain(1.0, 3.0, grid_points=GRID, witnesses=(2.0,))
-        assert conservation_check(sampled_grad_sq(u2, d), d, sb.M**2, tol=1e-10 * sb.M**2).passed
+        rep = conservation_check(sampled_deviation(u2, d, sb.M**2), d, sb.M**2, tol=1e-10 * sb.M**2)
+        assert rep.passed
 
     def test_polar_map(self, u3_setup):
         u3, sb = u3_setup
         d = slab_domain(-1.5, 1.5, grid_points=GRID, witnesses=WITNESSES)
-        assert conservation_check(sampled_grad_sq(u3, d), d, sb.M**2, tol=1e-9 * sb.M**2).passed
+        rep = conservation_check(sampled_deviation(u3, d, sb.M**2), d, sb.M**2, tol=1e-9 * sb.M**2)
+        assert rep.passed
 
     def test_explicit_target(self):
         mp = affine_map(np.array([[3.0, 0.0], [0.0, 4.0]]), np.zeros(2))
         d = box_domain([(-1.0, 1.0), (-1.0, 1.0)], grid_points=5)
-        rep = conservation_check(sampled_grad_sq(mp, d), d, target_sq=25.0, tol=0.0)
+        rep = conservation_check(sampled_deviation(mp, d, 25.0), d, target_sq=25.0, tol=0.0)
         assert rep.max_dev == 0.0 and rep.passed
 
 
@@ -467,9 +603,9 @@ class TestNonFiniteSamples:
         lambda u, d: residual_certify(
             sampled_residuals(_tangential_residual, u, d, fd_step=1e-4), d, 1.0, jet_source="fd"
         ),
-        lambda u, d: max_principle_check(sample(lambda x: u.value(x)[..., 0], d), d),
-        lambda u, d: conservation_check(sampled_grad_sq(u, d), d, 1.0, tol=1.0),
-        lambda u, d: hull_check(sample(u.value, d), d),
+        lambda u, d: max_principle_check(sampled_principle(lambda x: u.value(x)[..., 0], d), d),
+        lambda u, d: conservation_check(sampled_deviation(u, d, 1.0), d, 1.0, tol=1.0),
+        lambda u, d: hull_check(sampled_hull(u, d), d),
     ], ids=["residual_analytic", "residual_fd", "principle", "conservation", "hull"])
     def test_nan_sample_aborts_with_its_point(self, check):
         d = slab_domain(-1.0, 1.0, grid_points=5)  # interior -0.5, 0, 0.5
@@ -491,7 +627,7 @@ class TestMonotoneRefinement:
             rep = residual_certify(residuals, d, 1e-8 * sb1.M**3)
             sup_residuals.append(rep.sup_residual)
             verdict = max_principle_check(
-                sample(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d
+                sampled_principle(lambda x: np.linalg.norm(u3.value(x), axis=-1), d), d
             )
             sup_moduli.append(verdict.sup_interior)
             ts = refine_abscissas(ts)

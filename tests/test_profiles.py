@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from inflap.jets import BLOCK_POINTS, EvaluationError, Jet2, jet_lift
+from inflap.jets import BLOCK_POINTS, EvaluationError, Jet2, grid_nodes, jet_lift
 from inflap.profiles import (
     ArcComplement,
     BumpW1,
@@ -14,12 +13,11 @@ from inflap.profiles import (
     Profile,
     SpeedBound,
     _grid_argmax_abs_d1,
-    _grid_nodes,
     choose_M,
     estimate_sup_abs_d1,
 )
 
-from helpers import exact, fd_jet
+from helpers import exact, fd_jet, traced_peak
 
 INV_E = math.exp(-1.0)
 SQRT_2_OVER_E = 0.8577638849607068  # closed form sqrt(2/e), peak of |rho'|
@@ -190,21 +188,14 @@ class TestStreamedSupSearch:
                                           GaussianRho.sup_search_interval])
     @pytest.mark.parametrize("samples", [1, 2, BLOCK_POINTS, 12_345, 100_000])
     def test_nodes_are_linspace(self, interval, samples):
-        blocks = [_grid_nodes(*interval, samples, k, min(k + BLOCK_POINTS, samples))
+        blocks = [grid_nodes(*interval, samples, k, min(k + BLOCK_POINTS, samples))
                   for k in range(0, samples, BLOCK_POINTS)]
         assert np.concatenate(blocks).tobytes() == np.linspace(*interval, samples).tobytes()
 
     def test_traced_peak_is_flat_in_the_grid(self):
         # one grid-sized pass peaked at 2.40 MB at 100,000 nodes, 9.61 MB at 400,000
-        def peak(samples):
-            tracemalloc.start()
-            try:
-                choose_M(BumpW1(), samples=samples)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small, large = peak(100_000), peak(400_000)
+        small, large = (traced_peak(lambda: choose_M(BumpW1(), samples=samples))
+                        for samples in (100_000, 400_000))
         assert small < 0.6e6
         assert large < 1.1 * small
 

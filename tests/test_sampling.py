@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from inflap import scenarios
-from inflap.checkers import CheckEvaluationError, DomainSpec, hull_check, sample
+from inflap.checkers import CheckEvaluationError, hull_check
 from inflap.maps import PolarSpiralMap, _ProfileMap
 from inflap.profiles import GaussianRho, PolarPhase, choose_M
 from inflap.scenarios import ScenarioConfig, run_scenario
+
+from helpers import ArrayDomain, sampled_hull
 
 SMALL = dict(n=2, grid_points=51)
 
@@ -73,7 +75,7 @@ def test_hull_names_an_interior_failure_before_a_boundary_one():
     phase = PolarPhase(choose_M(rho, samples=20_000).M, t_max=2.0, cells=512, rho=rho)
     u = PolarSpiralMap(rho, phase, n=1, N=2)
     # the phase is guarded to |t| <= 2: 2.5 (interior) and -2.7 (boundary) fail
-    d = DomainSpec("slab", np.array([[0.5], [2.5]]), np.array([[-2.7], [1.0]]))
+    d = ArrayDomain("slab", np.array([[0.5], [2.5]]), np.array([[-2.7], [1.0]]))
     with pytest.raises(CheckEvaluationError) as exc:
-        hull_check(sample(u.value, d), d)
+        hull_check(sampled_hull(u, d), d)
     np.testing.assert_array_equal(exc.value.point, [2.5])
