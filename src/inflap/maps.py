@@ -20,9 +20,12 @@ invariant axes keep that order.  A batch with no adjacent repeats is
 evaluated as it is.
 
 The finite-difference oracle reads the variable of each shifted batch of
-its stencil once and keeps its runs; when the unshifted variable has
-adjacent repeats, as on slabs at n >= 2 and on annuli, the formulas run
-once on the distinct values of all shifts.  No cache outlives a call.
+its stencil once and keeps its runs and a byte-a-point mask of their
+starts; when the unshifted variable has adjacent repeats, as on slabs at
+n >= 2 and on annuli, the formulas run once on the distinct values of all
+shifts.  A call keeps nothing.  Given a workspace ``out``, a MapJet of at
+least as many points, ``map_jet`` and the oracle write into its leading
+rows and return views, valid until it is next written: the next block.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class MapJet:
         self.jacobian = np.asarray(self.jacobian, dtype=float)
         self.hessian = np.asarray(self.hessian, dtype=float)
 
+    @classmethod
+    def empty(cls, shape: tuple, N: int, n: int, out: MapJet | None = None) -> MapJet:
+        """Unwritten jets at points of leading shape ``shape``: new, or out's first points."""
+        if out is None:
+            return cls(*(np.empty(shape + tail) for tail in ((N,), (N, n), (N, n, n))))
+        k = math.prod(shape)
+        return cls(*(a[:k].reshape(shape + a.shape[1:]) for a in vars(out).values()))
+
     @property
     def N(self) -> int:
         return self.value.shape[-1]
@@ -95,7 +106,9 @@ class VectorMap:
             raise ValueError(f"expected points of dimension {self.n}, got shape {p.shape}")
         return p
 
-    def map_jet(self, x) -> MapJet:
+    def map_jet(self, x, out: MapJet | None = None) -> MapJet:
+        """The jets at the points x, which a map may write into the leading rows of
+        a workspace out of at least as many points (see the module docstring)."""
         raise NotImplementedError
 
     def value(self, x) -> np.ndarray:
@@ -104,19 +117,24 @@ class VectorMap:
 
 def _runs(s):
     """The first entry of each run of adjacent bit-identical entries of s,
-    and the index that gathers them back to the shape of s; s itself and
-    None when no entry repeats its neighbour.  The int64 view keeps 0.0 and
-    -0.0 apart."""
+    and the mask of those entries, a byte a point in the shape of s; s
+    itself and None when no entry repeats its neighbour.  The int64 view
+    keeps 0.0 and -0.0 apart."""
     flat = np.ravel(s)
     bits = flat.view(np.int64)
     starts = np.concatenate([[True], bits[1:] != bits[:-1]])
     if starts.all():
         return s, None
-    return flat[starts], (np.cumsum(starts) - 1).reshape(np.shape(s))
+    return flat[starts], starts.reshape(np.shape(s))
+
+
+def _gather(starts):
+    """The index that gathers the runs ``starts`` marks back to every entry, or None."""
+    return None if starts is None else (np.cumsum(starts) - 1).reshape(starts.shape)
 
 
 def _spread(c, inv):
-    """Results on the runs of ``_runs`` back on every entry."""
+    """Results on the runs of ``_runs`` back on every entry, by ``_gather``'s index."""
     return c if inv is None else c[inv]
 
 
@@ -141,32 +159,37 @@ class _ProfileMap(VectorMap):
     def _variable(self, x):
         return self._scalar(x), np.eye(self.n)[0], np.zeros((self.n, self.n))
 
-    def _values(self, u, inv, formulas):
-        """The map's values on every entry of a variable that ``_runs`` gave
-        as (u, inv), from the results of the formulas on u."""
-        out = np.zeros(np.shape(u if inv is None else inv) + (self.N,))
+    def _values(self, u, inv, formulas, out=None):
+        """The map's values on every entry of a variable whose runs are u,
+        gathered by inv, from the results of the formulas on u, written into
+        out or a new array."""
+        out = np.empty(np.shape(u if inv is None else inv) + (self.N,)) if out is None else out
         for a, v in enumerate(formulas):
             out[..., a] = _spread(v, inv)
+        out[..., len(formulas):] = 0.0
         return out
 
     def value(self, x) -> np.ndarray:
-        u, inv = _runs(self._scalar(x))
-        return self._values(u, inv, self._components(u))
+        u, starts = _runs(self._scalar(x))
+        return self._values(u, _gather(starts), self._components(u))
 
-    def map_jet(self, x) -> MapJet:
+    def map_jet(self, x, out: MapJet | None = None) -> MapJet:
         s, ds, dds = self._variable(x)
-        u, inv = _runs(s)
+        u, starts = _runs(s)
+        inv = _gather(starts)
         jets = self._components(jet_lift(u))  # before the outputs: a lower peak
-        value = self._values(u, inv, [j.val for j in jets])
-        jac = np.zeros(s.shape + (self.N, self.n))
-        hess = np.zeros(s.shape + (self.N, self.n, self.n))
+        out = MapJet.empty(s.shape, self.N, self.n, out)
+        self._values(u, inv, [j.val for j in jets], out.value)
+        out.jacobian[..., len(jets):, :] = out.hessian[..., len(jets):, :, :] = 0.0
         outer = ds[..., :, None] * ds[..., None, :]
         for a, j in enumerate(jets):
             d1 = np.asarray(_spread(j.d1, inv))[..., None]
-            jac[..., a, :] = d1 * ds
-            hess[..., a, :, :] = (np.asarray(_spread(j.d2, inv))[..., None, None] * outer
-                                  + d1[..., None] * dds)
-        return MapJet(value, jac, hess)
+            np.multiply(d1, ds, out=out.jacobian[..., a, :])
+            # fl(d2·outer) + fl(d1·dds); the sum turns a -0.0 product into 0.0
+            hess = out.hessian[..., a, :, :]
+            np.multiply(np.asarray(_spread(j.d2, inv))[..., None, None], outer, out=hess)
+            np.add(hess, d1[..., None] * dds, out=hess)
+        return out
 
 
 class CurveMap(_ProfileMap):
@@ -200,7 +223,9 @@ class RadialCurveMap(CurveMap):
         p = self._as_point(x)
         r = self._scalar(p)
         unit = p / r[..., None]
-        angular = (np.eye(self.n) - unit[..., :, None] * unit[..., None, :]) / r[..., None, None]
+        angular = np.multiply(unit[..., :, None], unit[..., None, :])  # (I - unit unitᵀ) / r
+        np.subtract(np.eye(self.n), angular, out=angular)
+        np.divide(angular, r[..., None, None], out=angular)
         return r, unit, angular
 
 
@@ -362,7 +387,7 @@ def _stencil_values(map_obj: VectorMap, x, h: float):
         return map(_runs, map(map_obj._scalar, _stencil(x, map_obj.n, h)))
 
     def values(runs, formulas=map_obj._components):
-        return (map_obj._values(u, inv, formulas(u)) for u, inv in runs)
+        return (map_obj._values(u, _gather(starts), formulas(u)) for u, starts in runs)
 
     runs = shifts()
     first = next(runs)
@@ -382,7 +407,7 @@ def _stencil_values(map_obj: VectorMap, x, h: float):
     return values(runs, look_up)
 
 
-def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
+def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4, out=None) -> MapJet:
     """Central-difference MapJet oracle, independent of the analytic jets.
 
     Jacobian from two-point central differences; hessian diagonal from the
@@ -391,12 +416,14 @@ def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
     shifted batch per stencil offset, 1 + 2n + 4·C(n, 2) in all.
 
     A profile map builds each shifted batch once and keeps only the runs of
-    its variable.  When the unshifted variable has adjacent repeats (slabs
-    at n >= 2, annuli) the formulas run once on the distinct values of all
-    shifts and each shift looks its runs up there; with no repeats, or on
-    an evaluation error there, each shift's runs are evaluated in stencil
-    order, so the error is the first that order meets.  Any other map gets
-    one ``value`` call per batch.  Nothing outlives the call.
+    its variable and their starts' mask.  When the unshifted variable has
+    adjacent repeats (slabs at n >= 2, annuli) the formulas run once on the
+    distinct values of all shifts and each shift looks its runs up there;
+    with no repeats, or on an evaluation error there, each shift's runs are
+    evaluated in stencil order, so the error is the first that order meets.
+    Any other map gets one ``value`` call per batch.  The differences are
+    written into the jacobian and hessian of out's leading rows, or of new
+    arrays.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")
@@ -404,15 +431,20 @@ def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4) -> MapJet:
     n = map_obj.n
     values = _stencil_values(map_obj, x, h)
     v0 = next(values)
-    jac = np.empty(v0.shape + (n,))
-    hess = np.empty(v0.shape + (n, n))
+    out = MapJet.empty(v0.shape[:-1], map_obj.N, n, out)
+    np.copyto(out.value, v0)
     for i in range(n):
         plus, minus = next(values), next(values)
-        jac[..., i] = (plus - minus) / (2.0 * h)
-        hess[..., i, i] = (plus - 2.0 * v0 + minus) / (h * h)
+        d = out.jacobian[..., i]  # (plus - minus) / (2h)
+        np.divide(np.subtract(plus, minus, out=d), 2.0 * h, out=d)
+        d = out.hessian[..., i, i]  # (plus - 2·v0 + minus) / h², left to right
+        np.subtract(plus, np.multiply(2.0, v0, out=d), out=d)
+        np.divide(np.add(d, minus, out=d), h * h, out=d)
     for i, j in itertools.combinations(range(n), 2):
-        # (x + e_i + e_j) - (x + e_i - e_j) - (x - e_i + e_j) + (x - e_i - e_j), left to right
-        hess[..., i, j] = hess[..., j, i] = (
-            next(values) - next(values) - next(values) + next(values)
-        ) / (4.0 * h * h)
-    return MapJet(v0, jac, hess)
+        # ((x + e_i + e_j) - (x + e_i - e_j) - (x - e_i + e_j) + (x - e_i - e_j)) / 4h²
+        d = out.hessian[..., i, j]
+        np.subtract(next(values), next(values), out=d)
+        np.subtract(d, next(values), out=d)
+        np.divide(np.add(d, next(values), out=d), 4.0 * h * h, out=d)
+        out.hessian[..., j, i] = d
+    return out

@@ -88,7 +88,7 @@ class _BranchBump(Profile):
         is_jet = isinstance(t, Jet2)
         shape = np.shape(t.val if is_jet else t)
         flat = np.ravel(t.val if is_jet else t).astype(float, copy=False)
-        out = np.zeros((3 if is_jet else 1, flat.size))  # value (and d1, d2) rows
+        parts = []
         for lo, hi, sign, offset, slope in self.branches:
             idx = np.flatnonzero((lo < flat) & (flat < hi))
             s = offset + slope * flat[idx]
@@ -97,7 +97,9 @@ class _BranchBump(Profile):
             if is_jet:
                 sub = Jet2(sub, *(c if np.ndim(c) == 0 else np.ravel(c)[idx] for c in (t.d1, t.d2)))
             s = offset + slope * sub
-            r = formula(sign, s, s * s - 1.0, slope)
+            parts.append((idx, formula(sign, s, s * s - 1.0, slope)))
+        out = np.zeros((3 if is_jet else 1, flat.size))  # after the formulas: a lower peak
+        for idx, r in parts:
             for row, c in zip(out, r.as_tuple() if is_jet else (r,)):
                 row[idx] = c
         rows = [row.reshape(shape) for row in out]
@@ -107,10 +109,12 @@ class _BranchBump(Profile):
         return self._bump(t, lambda sign, s, d, slope: sign * _exp(1.0 / d))
 
     def d1(self, t):
-        # sign * exp(1/d) * (-d'/d²) with d' = 2 s s' and s' = slope
-        return self._bump(
-            t, lambda sign, s, d, slope: _exp(1.0 / d) * -(s * (2.0 * slope) / (d * d)) * sign
-        )
+        # sign * exp(1/d) * (-d'/d²) with d' = 2 s s' and s' = slope; -d'/d² is
+        # formed first, so no jet of exp(1/d) is alive while it is: a lower peak
+        def formula(sign, s, d, slope):
+            slope_term = -(s * (2.0 * slope) / (d * d))
+            return _exp(1.0 / d) * slope_term * sign
+        return self._bump(t, formula)
 
 
 class BumpW1(_BranchBump):

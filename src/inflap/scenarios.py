@@ -23,6 +23,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
+from . import checkers
 from .checkers import (
     ConservationReport,
     Extremum,
@@ -383,26 +384,29 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     res_domain = domain(spec.residual_domain)
 
     # running sups of the residual norm and, given target_sq, of |Du|²'s deviation
-    # from it, from the jets of u and of the forcing map (None without one)
+    # from it, from the jets of u and of the forcing map (None without one), each
+    # written into a workspace of one block that lives for the sweep
     def residuals(get, *target_sq):
         extrema = [Extremum() for _ in range(1 + len(target_sq))]
+        rows = (min(checkers.BLOCK_POINTS, len(res_domain)),)  # the most points sample feeds
+        u_out, f_out = (None if m is None else MapJet.empty(rows, m.N, m.n) for m in (u, f_map))
 
         def field(x):
-            u_jets = get(u, x)
-            norms = spec.residual(u_jets, None if f_map is None else get(f_map, x))
+            u_jets = get(u, x, u_out)
+            norms = spec.residual(u_jets, None if f_map is None else get(f_map, x, f_out))
             return norms, *(np.abs(grad_norm_sq(u_jets) - t) for t in target_sq)
         sample(field, res_domain, extrema)
         return extrema
 
     target = () if spec.conservation_scale is None else (sb.M**2,)
-    analytic = residuals(lambda m, x: m.map_jet(x), *target)
+    analytic = residuals(lambda m, x, out: m.map_jet(x, out=out), *target)
     residual = [residual_certify(analytic[0], res_domain, cfg.residual_tol_scale * m_cubed)]
     conservation = None
     if target:
         conservation = conservation_check(
             analytic[1], res_domain, sb.M**2, tol=spec.conservation_scale * sb.M**2
         )
-    (fd,) = residuals(lambda m, x: finite_difference_map_jet(m, x, h=cfg.fd_step))
+    (fd,) = residuals(lambda m, x, out: finite_difference_map_jet(m, x, h=cfg.fd_step, out=out))
     residual.append(residual_certify(fd, res_domain, cfg.fd_tol_scale * m_cubed, jet_source="fd"))
 
     # each value domain is swept once, boundary first, and each block of

@@ -7,6 +7,10 @@ grow with its grid."""
 
 import gc
 import math
+import os
+import resource
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -17,6 +21,9 @@ from inflap import checkers, profiles, scenarios
 from inflap.checkers import (
     CheckEvaluationError,
     DomainSpec,
+    Extremum,
+    HullReduction,
+    PrincipleExtrema,
     annulus_domain,
     conservation_check,
     directional_check,
@@ -30,7 +37,13 @@ from inflap.jets import BLOCK_POINTS, EvaluationError
 from inflap.maps import MapJet, PolarSpiralMap, VectorMap
 from inflap.profiles import GaussianRho, PolarPhase, choose_M
 from inflap.reports import emit_report
-from inflap.scenarios import ScenarioConfig, _tangential_residual, construction, run_scenario
+from inflap.scenarios import (
+    WITNESS_ABSCISSAS,
+    ScenarioConfig,
+    _tangential_residual,
+    construction,
+    run_scenario,
+)
 
 from helpers import (
     ArrayDomain,
@@ -291,6 +304,84 @@ def test_traced_peak_is_flat_in_the_grid(scenario, n, small, large):
     assert _traced_peak(scenario, large, n) < 1.2 * _traced_peak(scenario, small, n)
 
 
+_FAULTS = """
+import resource
+from inflap.scenarios import ScenarioConfig, run_scenario
+for grid in (2001, 8001, 32001):  # the first run warms the process
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_scenario(ScenarioConfig(scenario="ex1a", n=3, grid_points=grid))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_minor_faults_do_not_grow_with_the_blocks():
+    # each residual block that 32,001 adds over 8,001 faults in fewer pages
+    # than one block's hessian occupies (4,096 x 2 x 3 x 3 floats, 144 pages
+    # of 4 KiB): the sweeps reuse their jets' buffers instead of mapping new
+    # ones every block (the per-block allocations faulted 540-630 pages)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _, small, large = map(int, proc.stdout.split())
+    _, lo, hi = construction("ex1a").residual_domain
+    blocks = [math.ceil(len(slab_domain(lo, hi, 3, grid, 1.0, WITNESS_ABSCISSAS)) / BLOCK_POINTS)
+              for grid in (8001, 32001)]
+    hessian_pages = BLOCK_POINTS * 2 * 3 * 3 * 8 / resource.getpagesize()
+    assert (large - small) / (blocks[1] - blocks[0]) < hessian_pages
+
+
+def _verdicts(make, blocks, finish, overwrite: float):
+    """The verdicts, or errors, of one reduction fed the blocks, each then
+    overwritten with ``overwrite``, and of one fed copies of them."""
+    kept, fresh = make(), make()
+    for start, block in blocks:
+        block = block.copy()
+        fresh.feed(block.copy(), start)
+        kept.feed(block, start)
+        block.fill(overwrite)
+    verdicts = []
+    for reduction in (kept, fresh):
+        try:
+            record = finish(reduction)
+        except CheckEvaluationError as exc:
+            verdicts.append(str(exc))
+        else:
+            verdicts.append({key: np.asarray(v).tolist() for key, v in vars(record).items()})
+    return verdicts
+
+
+def _images(*interior):
+    """The segment from (0, 0) to (1, 0) as the boundary image, fed first,
+    then the interior image blocks."""
+    return [(5, np.array([[0.0, 0.0], [1.0, 0.0]])),
+            *((start, np.array(block)) for start, block in interior)]
+
+
+def test_reductions_own_what_they_keep():
+    # a sweep reuses its jets' buffers from block to block, so a reduction must
+    # keep copies: overwriting every array it was fed leaves its verdict as is
+    d = ArrayDomain("slab", [[0.1], [0.2], [0.3], [0.4], [0.5]], [[-1.0], [1.0]])
+    values = [(0, np.array([0.3, 2.0, -1.0])), (3, np.array([2.0, 0.5])),
+              (5, np.array([0.7, -0.2]))]
+    residual = lambda e: residual_certify(e, d, 1.0)  # noqa: E731
+    hull = lambda: HullReduction(d.n_interior)  # noqa: E731
+    cases = [
+        (Extremum, values, residual),
+        (lambda: PrincipleExtrema(lambda v: v, d.n_interior), values,
+         lambda e: max_principle_check(e, d)),
+        (hull, _images((0, [[0.5, 0.2], [0.5, 0.0], [0.9, -0.4]]), (3, [[0.2, 0.4], [3.0, 0.0]])),
+         lambda e: hull_check(e, d)),
+        # the first non-finite value or image is named as it was fed
+        (Extremum, [(0, np.array([1.0, math.inf, 0.5]))], residual),
+        (hull, _images((0, [[0.5, 0.2], [math.inf, 0.0]])), lambda e: hull_check(e, d)),
+    ]
+    for make, blocks, finish in cases:
+        for overwrite in (math.nan, 0.0):
+            kept, fresh = _verdicts(make, blocks, finish, overwrite)
+            assert kept == fresh
+
+
 class _Injected(VectorMap):
     """x -> (x1, x1²), except at the abscissas of ``rows``, where the value
     is that row, and those of ``errors``, where an EvaluationError is raised."""
@@ -310,7 +401,7 @@ class _Injected(VectorMap):
             out[x[:, 0] == t] = row
         return out
 
-    def map_jet(self, x) -> MapJet:
+    def map_jet(self, x, out=None) -> MapJet:  # new arrays: a map may leave out unused
         value = self.value(x)
         return MapJet(value, np.zeros(value.shape + (self.n,)),
                       np.zeros(value.shape + (self.n, self.n)))

@@ -6,8 +6,11 @@ written from the per-point evaluation path; it also carries a
 ``tests/reference/`` holds the four constructions at n = 3 and n = 4,
 written before the finite-difference oracle shared its profile formulas
 across the stencil, and the property suite at seeds 1, 2, 3 and 7 (seed 0
-is part of ``all_default``).  Every leaf of a fresh report must equal the
-reference leaf, with no tolerance.
+is part of ``all_default``).  Their grids fit a residual domain in one or
+two blocks; ``stress_n3_grid20001`` sweeps the four constructions at n = 3
+over 30 to 44 residual blocks each, the last one shorter, and was written
+before the jets went into a workspace reused from block to block.  Every
+leaf of a fresh report must equal the reference leaf, with no tolerance.
 """
 
 import json
@@ -28,6 +31,8 @@ REFERENCES = {
                       ["ex1a", "ex1b", "ex2", "ex3", "--n", "3", "--grid", "301"], 0, 325),
     "fd_n4_grid201": ("tests/reference/fd_n4_grid201.json",
                       ["ex1a", "ex1b", "ex2", "ex3", "--n", "4", "--grid", "201"], 0, 354),
+    "stress_n3_grid20001": ("tests/reference/stress_n3_grid20001.json",
+                            ["ex1a", "ex1b", "ex2", "ex3", "--n", "3", "--grid", "20001"], 0, 325),
     **{f"properties_seed{seed}": (f"tests/reference/properties_seed{seed}.json",
                                   ["properties"], seed, 46) for seed in (1, 2, 3, 7)},
 }
