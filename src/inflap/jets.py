@@ -20,7 +20,6 @@ __all__ = [
     "first_where",
     "grid_nodes",
     "sorted_distinct",
-    "merge_distinct",
     "jet_lift",
     "jet_exp",
     "jet_sin",
@@ -87,20 +86,6 @@ def sorted_distinct(a) -> np.ndarray:
     keep[:1] = True
     keep[1:] = s[1:] != s[:-1]
     return s[keep]
-
-
-def merge_distinct(grid: np.ndarray, extra) -> np.ndarray:
-    """``sorted_distinct(np.concatenate([grid, extra]))`` for a sorted,
-    distinct 1-D ``grid`` and a few ``extra`` values without NaN.
-
-    Each extra value not already in the grid is inserted at its place,
-    so the grid is neither concatenated nor sorted again: the one array of
-    the grid's size this makes is the result.
-    """
-    extra = sorted_distinct(np.asarray(extra, dtype=float))
-    at = np.searchsorted(grid, extra, side="left")
-    new = np.searchsorted(grid, extra, side="right") == at
-    return np.insert(grid, at[new], extra[new])
 
 
 class Jet2:

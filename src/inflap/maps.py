@@ -19,13 +19,15 @@ cross-section copies of each x1) and ``annulus_domain`` radius-major (the
 invariant axes keep that order.  A batch with no adjacent repeats is
 evaluated as it is.
 
-The finite-difference oracle reads the variable of each shifted batch of
-its stencil once and keeps its runs and a byte-a-point mask of their
-starts; when the unshifted variable has adjacent repeats, as on slabs at
-n >= 2 and on annuli, the formulas run once on the distinct values of all
-shifts.  A call keeps nothing.  Given a workspace ``out``, a MapJet of at
-least as many points, ``map_jet`` and the oracle write into its leading
-rows and return views, valid until it is next written: the next block.
+The finite-difference oracle evaluates each shifted batch of its stencil
+with the map's ``value`` (a profile map's unshifted batch from the runs
+read to choose), except when the unshifted variable has adjacent repeats,
+as on slabs at n >= 2 and on annuli: then it keeps each shift's runs and a
+byte-a-point mask of their starts, and the formulas run once on the
+distinct values of all shifts.  A call keeps nothing.  Given a
+workspace ``out``, a MapJet of at least as many points, ``map_jet`` and
+the oracle write into its leading rows and return views, valid until it
+is next written: the next block.
 """
 
 from __future__ import annotations
@@ -380,31 +382,25 @@ def _stencil(x, n: int, h: float):
 def _stencil_values(map_obj: VectorMap, x, h: float):
     """The map's values on the shifted batches of ``_stencil``, in its
     order, as ``finite_difference_map_jet`` describes."""
+    batches = _stencil(x, map_obj.n, h)
     if not isinstance(map_obj, _ProfileMap):
-        return map(map_obj.value, _stencil(x, map_obj.n, h))
-
-    def shifts():
-        return map(_runs, map(map_obj._scalar, _stencil(x, map_obj.n, h)))
-
-    def values(runs, formulas=map_obj._components):
-        return (map_obj._values(u, _gather(starts), formulas(u)) for u, starts in runs)
-
-    runs = shifts()
-    first = next(runs)
-    if first[1] is None:
-        return values(itertools.chain([first], runs))
+        return map(map_obj.value, batches)
+    u, starts = _runs(map_obj._scalar(next(batches)))
+    if starts is None:  # u is the unshifted variable itself
+        return itertools.chain([map_obj._values(u, None, map_obj._components(u))],
+                               map(map_obj.value, batches))
     try:
-        runs = [first, *runs]
+        runs = [(u, starts), *(_runs(map_obj._scalar(b)) for b in batches)]
         bits = sorted_distinct(np.concatenate([np.ravel(u) for u, _ in runs]).view(np.int64))
         table = map_obj._components(bits.view(float))
     except EvaluationError:
-        return values(shifts())
+        return map(map_obj.value, _stencil(x, map_obj.n, h))
 
-    def look_up(u):
+    def look_up(u, starts):
         at = np.searchsorted(bits, u.view(np.int64))
-        return [c[at] for c in table]
+        return map_obj._values(u, _gather(starts), [c[at] for c in table])
 
-    return values(runs, look_up)
+    return itertools.starmap(look_up, runs)
 
 
 def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4, out=None) -> MapJet:
@@ -415,15 +411,16 @@ def finite_difference_map_jet(map_obj: VectorMap, x, h: float = 1e-4, out=None) 
     cross stencil, symmetrized by construction; the map's values on one
     shifted batch per stencil offset, 1 + 2n + 4·C(n, 2) in all.
 
-    A profile map builds each shifted batch once and keeps only the runs of
-    its variable and their starts' mask.  When the unshifted variable has
-    adjacent repeats (slabs at n >= 2, annuli) the formulas run once on the
-    distinct values of all shifts and each shift looks its runs up there;
-    with no repeats, or on an evaluation error there, each shift's runs are
-    evaluated in stencil order, so the error is the first that order meets.
-    Any other map gets one ``value`` call per batch.  The differences are
-    written into the jacobian and hessian of out's leading rows, or of new
-    arrays.
+    The values come from one ``value`` call per batch, in stencil order, so
+    an evaluation error is the first that order meets; a profile map
+    evaluates the unshifted batch from the runs of its variable, which it
+    reads once to choose.  When that variable has adjacent repeats (slabs
+    at n >= 2, annuli) it builds each shifted batch once, keeps only the
+    runs of its variable and their starts' mask, runs the formulas once on
+    the distinct values of all shifts and looks each shift's runs up there;
+    on an evaluation error in that pass it falls back to the ``value``
+    calls.  The differences are written into the jacobian and hessian of
+    out's leading rows, or of new arrays.
     """
     if h <= 0.0:
         raise ValueError("fd step must be positive")

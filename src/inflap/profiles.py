@@ -56,9 +56,8 @@ class Profile:
     """
 
     kind = "profile"
-    #: interval outside which the derivative vanishes (may be infinite)
-    support: tuple[float, float] = (-math.inf, math.inf)
-    #: finite interval on which to search for sup |derivative|
+    #: finite interval on which to search for sup |derivative|; a bump's
+    #: support, outside which its derivative vanishes
     sup_search_interval: tuple[float, float] = (-6.0, 6.0)
 
     def value(self, t):
@@ -126,7 +125,6 @@ class BumpW1(_BranchBump):
     """
 
     kind = "w1"
-    support = (-2.0, 2.0)
     sup_search_interval = (-2.0, 2.0)
 
     branches = ((0.0, 2.0, -1.0, 1.0, -1.0), (-2.0, 0.0, 1.0, 1.0, 1.0))
@@ -136,7 +134,6 @@ class BumpZ1(_BranchBump):
     """Nonnegative bump supported on (1, 3), peak value 1/e at t = 2."""
 
     kind = "z1"
-    support = (1.0, 3.0)
     sup_search_interval = (1.0, 3.0)
 
     branches = ((1.0, 3.0, 1.0, 2.0, -1.0),)
@@ -237,9 +234,9 @@ class ArcComplement(_IntegralProfile):
 
     The derivative is sqrt(M² - base'²), so the pair (base, complement) has
     constant speed M; the value is the cumulative integral of the
-    derivative from 0.  Outside the tabulated range the base derivative is
-    taken as zero (exact for the compactly supported bumps), so the value
-    continues linearly with slope M.
+    derivative from 0.  The table spans the base's ``sup_search_interval``,
+    the support of either bump; outside it the base derivative is taken as
+    zero (exact for the bumps), so the value continues linearly with slope M.
     """
 
     def __init__(self, base: Profile, M: float, cells: int = 4096):
@@ -248,10 +245,7 @@ class ArcComplement(_IntegralProfile):
         self.base = base
         self.M = float(M)
         self.kind = f"arc_complement({base.kind})"
-        lo, hi = base.support
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            lo, hi = base.sup_search_interval
-        self._table = _CumulativeTable(self.d1, lo, hi, cells)
+        self._table = _CumulativeTable(self.d1, *base.sup_search_interval, cells)
 
     def d1(self, t):
         return self._root(self.base.d1(t), t)

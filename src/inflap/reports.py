@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .jets import merge_distinct
+from .jets import sorted_distinct
 from .scenarios import CheckReport, construction
 
 __all__ = [
@@ -180,7 +180,8 @@ def emit_profile_tables(dir_path: str, scenarios, grid_points: int) -> list[str]
     hit the analytic ones (±1/e for the bumps, 1 for the Gaussian peak).
     """
     classes = dict.fromkeys(construction(sc).profile for sc in scenarios)
-    ts = merge_distinct(np.linspace(*_TABLE_RANGE, grid_points), [-2.0, -1.0, 0.0, 1.0, 2.0])
+    ts = sorted_distinct(np.concatenate([np.linspace(*_TABLE_RANGE, grid_points),
+                                         [-2.0, -1.0, 0.0, 1.0, 2.0]]))
     os.makedirs(dir_path, exist_ok=True)
     written = []
     for cls in classes:
@@ -190,6 +191,6 @@ def emit_profile_tables(dir_path: str, scenarios, grid_points: int) -> list[str]
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("t", "value"))
             for t, v in zip(ts.tolist(), profile.value(ts).tolist()):
-                writer.writerow((_format_float(t), _format_float(v)))
+                writer.writerow((_format_cell(t), _format_cell(v)))
         written.append(path)
     return written

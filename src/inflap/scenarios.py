@@ -96,7 +96,8 @@ _VECTOR_SCENARIOS = ("ex1a", "ex1b", "ex2")
 SCENARIO_NAMES = ("ex1a", "ex1b", "ex2", "ex3", "properties")
 
 #: most points a construction's domain may hold: grid_points·3^(n-1) on a slab, ·2n on an
-#: annulus.  A domain is written and reduced block by block, so the cap bounds work, not memory
+#: annulus.  A domain is written and reduced block by block, so the cap bounds work, not memory.
+#: It also caps the property suite's grid_points, the rows of its profile tables
 MAX_DOMAIN_POINTS = 2_000_000
 #: most hessian entries the jets of one residual domain may total over its
 #: blocks, grid_points·copies·N·n² with N = 1 for the scalar maps of ex3: it
@@ -161,6 +162,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         if points * targets * cfg.n**2 > MAX_HESSIAN_ENTRIES:
             errors.append(f"grid_points, n, N: the residual domain's jets total more than "
                           f"{MAX_HESSIAN_ENTRIES} hessian entries")
+    elif cfg.scenario == "properties" and cfg.grid_points > MAX_DOMAIN_POINTS:
+        errors.append(f"grid_points: must be <= {MAX_DOMAIN_POINTS}, got {cfg.grid_points!r}")
     invalid = set()
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
@@ -442,11 +445,6 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
     )
 
 
-def _worst(*values) -> float:
-    """Largest entry of the arrays, 0.0 for none; a NaN propagates."""
-    return float(np.max(np.concatenate(values), initial=0.0))
-
-
 def _frobenius(a) -> np.ndarray:
     """Frobenius norm of each matrix, bit-equal to np.linalg.norm of each."""
     return row_norm(a.reshape(a.shape[:-2] + (-1,)))
@@ -465,6 +463,27 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         jac = rng.normal(size=(N, n))
         hess = rng.normal(size=(N, n, n))
         drawn[N, n].append((rng.normal(size=N), jac, 0.5 * (hess + hess.transpose(0, 2, 1))))
+    properties = {}
+
+    def record(name, metric, counts, *limits):
+        """One property's section: its counts, each limit's tolerance under
+        its key (none when the key is None) and the worst value of each
+        statistic the limit bounds, the largest entry of its per-sample
+        arrays (0.0 for none); it passes when every count is positive and
+        every statistic is within its tolerance."""
+        stats, passed = dict(counts), all(c > 0 for c in counts.values())
+        for key, tol, statistics in limits:
+            if key is not None:
+                stats[key] = tol
+            for stat, arrays in statistics.items():
+                worst = float(np.max(np.concatenate(arrays), initial=0.0))
+                if not math.isfinite(worst):
+                    raise EvaluationError(f"property {name}: {stat} is {worst!r}, not finite")
+                stats[stat] = worst
+                passed = passed and worst <= tol
+        stats["pass"] = passed
+        properties[name] = PropertyCheck(metric, stats)
+
     asym, idem, annih, perp, scalar_abs = [], [], [], [], []
     for (N, n), rows in drawn.items():
         m = MapJet(*(np.stack(a) for a in zip(*rows)))
@@ -488,29 +507,14 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         perp.append(np.abs(dot) / (t_norm[kept] * n_norm[kept]))
         if N == 1:
             scalar_abs.append(np.abs(n_vec).max(axis=-1))
-    max_asym, max_idem, max_annih = _worst(*asym), _worst(*idem), _worst(*annih)
-    max_perp, max_scalar_normal = _worst(*perp), _worst(*scalar_abs)
-    n_perp = sum(len(r) for r in perp)
-    projection = {
-        "samples": samples,
-        "max_asymmetry": max_asym,
-        "max_idempotency_defect": max_idem,
-        "max_annihilation_rel": max_annih,
-        "tol": 1e-12,
-        "pass": max(max_asym, max_idem, max_annih) <= 1e-12,
-    }
-    perpendicularity = {
-        "samples": samples,
-        "nonzero_normal_samples": n_perp,
-        "max_relative_dot": max_perp,
-        "tol": 1e-9,
-        "pass": max_perp <= 1e-9 and n_perp > 0,
-    }
-    scalar_normal = {
-        "samples": sum(len(r) for r in scalar_abs),
-        "max_abs": max_scalar_normal,
-        "pass": max_scalar_normal == 0.0,
-    }
+    record("projection", "max_asymmetry", {"samples": samples},
+           ("tol", 1e-12, {"max_asymmetry": asym, "max_idempotency_defect": idem,
+                           "max_annihilation_rel": annih}))
+    record("perpendicularity", "max_relative_dot",
+           {"samples": samples, "nonzero_normal_samples": sum(len(r) for r in perp)},
+           ("tol", 1e-9, {"max_relative_dot": perp}))
+    record("scalar_normal_zero", "max_abs", {"samples": sum(len(r) for r in scalar_abs)},
+           (None, 0.0, {"max_abs": scalar_abs}))
 
     # tangential = Du · D(half |Du|²), gradient taken by central differences
     # of the scalar field x -> half |Du(x)|²; each map's points are one batch
@@ -531,14 +535,9 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
         t_vec = tangential(m)
         scale = np.maximum(np.maximum(row_norm(t_vec), row_norm(ident)), 1e-8)
         rels.append(row_norm(t_vec - ident) / scale)
-    max_rel = _worst(*rels)
-    gradient_identity = {
-        "maps": n_maps,
-        "points_per_map": pts_per_map,
-        "max_relative_error": max_rel,
-        "tol": 1e-5,
-        "pass": max_rel <= 1e-5,
-    }
+    record("tangential_gradient_identity", "max_relative_error",
+           {"maps": n_maps, "points_per_map": pts_per_map},
+           ("tol", 1e-5, {"max_relative_error": rels}))
 
     # polar identity on the suite's polar-spiral construction, over its residual slab
     spec = construction(cfg.scenario)
@@ -553,28 +552,10 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     rhs = np.vecdot(pd.grad_rho, pd.grad_rho) + pd.rho**2 * np.einsum(
         "...ai,...ai->...", pd.grad_direction, pd.grad_direction
     )
-    max_polar_rel = _worst(np.abs(lhs - rhs) / np.abs(lhs))
-    max_direction_dot = _worst(np.abs(np.vecmat(pd.direction, pd.grad_direction)).max(axis=-1))
-    polar = {
-        "samples": polar_samples,
-        "max_relative_error": max_polar_rel,
-        "tol": 1e-9,
-        "max_direction_dot": max_direction_dot,
-        "dot_tol": 1e-12,
-        "pass": max_polar_rel <= 1e-9 and max_direction_dot <= 1e-12,
-    }
-
-    properties = {
-        "projection": PropertyCheck("max_asymmetry", projection),
-        "perpendicularity": PropertyCheck("max_relative_dot", perpendicularity),
-        "scalar_normal_zero": PropertyCheck("max_abs", scalar_normal),
-        "tangential_gradient_identity": PropertyCheck("max_relative_error", gradient_identity),
-        "polar_identity": PropertyCheck("max_relative_error", polar),
-    }
-    for name, check in properties.items():
-        for key, value in check.stats.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise EvaluationError(f"property {name}: {key} is {value!r}, not finite")
+    dots = np.abs(np.vecmat(pd.direction, pd.grad_direction)).max(axis=-1)
+    record("polar_identity", "max_relative_error", {"samples": polar_samples},
+           ("tol", 1e-9, {"max_relative_error": [np.abs(lhs - rhs) / np.abs(lhs)]}),
+           ("dot_tol", 1e-12, {"max_direction_dot": [dots]}))
     overall = all(p.stats["pass"] for p in properties.values())
     return CheckReport(cfg, sb, overall, properties=properties)
 

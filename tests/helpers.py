@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 
 from inflap.checkers import Extremum, HullReduction, PrincipleExtrema, sample
-from inflap.jets import Jet2, merge_distinct, sorted_distinct
+from inflap.jets import Jet2
 from inflap.maps import TrigQuadMap, finite_difference_map_jet
 from inflap.operators import grad_norm_sq
 
@@ -77,7 +77,7 @@ def reference_slab(a, b, n=1, grid_points=2001, cross_extent=1.0, witnesses=()) 
     """The slab as ``checkers.slab_domain`` formed it while a domain stored
     its points: the reference for the generated one."""
     ts = np.linspace(a, b, grid_points)
-    inside = merge_distinct(ts[(ts > a) & (ts < b)], [w for w in witnesses if a < w < b])
+    inside = merged_reference(ts[(ts > a) & (ts < b)], [w for w in witnesses if a < w < b])
     half = 0.5 * cross_extent
     cross = np.asarray(list(itertools.product(*[(-half, 0.0, half)] * (n - 1))), dtype=float)
 
@@ -94,8 +94,8 @@ def reference_annulus(r_in, r_out, n=1, grid_points=2001, witnesses=()) -> Array
     """The annulus as ``checkers.annulus_domain`` formed it while a domain
     stored its points."""
     rs = np.linspace(r_in, r_out, grid_points)
-    inside = merge_distinct(rs[(rs > r_in) & (rs < r_out)],
-                            [w for w in witnesses if r_in < w < r_out])
+    inside = merged_reference(rs[(rs > r_in) & (rs < r_out)],
+                              [w for w in witnesses if r_in < w < r_out])
     dirs = np.concatenate([np.eye(n), -np.eye(n)])
     return ArrayDomain(f"annulus({r_in:g},{r_out:g})",
                        (inside[:, None, None] * dirs[None, :, :]).reshape(-1, n),
@@ -160,9 +160,15 @@ def sampled_hull(u, domain) -> HullReduction:
 
 
 def merged_reference(grid, extra) -> np.ndarray:
-    """The grid with the extra values merged in, by concatenating and
-    sorting again: the reference for ``jets.merge_distinct``."""
-    return sorted_distinct(np.concatenate([grid, np.asarray(extra, dtype=float)]))
+    """The sorted, distinct grid with each extra value that equals no node and
+    no earlier extra value merged in, by concatenating and sorting again: a
+    node wins over an equal extra value, so a -0.0 witness leaves the node
+    0.0.  The reference for the domains' witness merge."""
+    kept = []
+    for w in map(float, extra):
+        if not np.any(grid == w) and w not in kept:
+            kept.append(w)
+    return np.sort(np.concatenate([grid, kept]))
 
 
 def refine_abscissas(ts) -> np.ndarray:

@@ -201,6 +201,17 @@ class TestFirstFailure:
         with pytest.raises(EvaluationError, match=exact(message)):
             finite_difference_map_jet(maps["polar_n2"], [[t, -0.5], [t, 0.5]], h=1e-4)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fd_oracle_fails_in_stencil_order(self, maps, n):
+        # x + h e1 leaves the guarded range at 2.00005 before x - h e1 does at
+        # -2.00005; at n = 2 the cross-section copies repeat x1, so the shared
+        # formula pass runs first and meets -2.00005 first in its sorted values
+        t = 2.0 - 5e-5
+        x = np.array([[t, -0.5], [t, 0.5], [-t, -0.5], [-t, 0.5]])[::2 if n == 1 else 1, :n]
+        message = "phase evaluation at t=2.00005 outside the guarded range |t| <= 2.0"
+        with pytest.raises(EvaluationError, match=exact(message)):
+            finite_difference_map_jet(maps[f"polar_n{n}"], x, h=1e-4)
+
     def test_fd_residual_failure_after_shared_copies(self, maps):
         # in slab order 0.5 and 1.0 come first, so every failing prefix holds
         # repeated variables before the first copy of 2.5

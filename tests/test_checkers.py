@@ -16,7 +16,7 @@ from inflap.checkers import (
     slab_domain,
 )
 from inflap.hull import _segment_ends, max_outside_distance
-from inflap.jets import BLOCK_POINTS, merge_distinct
+from inflap.jets import BLOCK_POINTS
 from inflap.maps import (
     CurveMap,
     MapJet,
@@ -272,8 +272,9 @@ class TestExtremum:
 
 
 class TestWitnessMerge:
-    """``merge_distinct`` inserts witnesses into the sorted, distinct grid and
-    gives the bits of concatenating and sorting again."""
+    """A domain inserts its witnesses into the sorted, distinct grid of its
+    interior and gives the bits of concatenating and sorting again, a node
+    winning over an equal witness."""
 
     @pytest.mark.parametrize("extra", [
         [],
@@ -281,15 +282,19 @@ class TestWitnessMerge:
         [0.5, 0.5, 0.25, 0.5],  # repeated, and between nodes
         [-3.0, 3.0, -7.5, 9.0],  # at and outside the ends
         [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0],
+        [-0.0],  # equal to the node 0.0, whose sign the domain keeps
     ])
-    @pytest.mark.parametrize("grid", [
-        np.linspace(-3.0, 3.0, 601),
-        np.linspace(-3.0, 3.0, 2)[1:-1],  # the empty interior of grid_points=2
-        np.array([0.5]),
+    @pytest.mark.parametrize("slab", [
+        (-3.0, 3.0, 601),
+        (-3.0, 3.0, 2),  # an empty interior
+        (0.0, 1.0, 3),  # the one interior node 0.5
     ], ids=["grid601", "empty", "one"])
-    def test_equals_concatenate_and_sort(self, grid, extra):
-        merged = merge_distinct(grid, extra)
-        assert merged.tobytes() == merged_reference(grid, extra).tobytes()
+    def test_equals_concatenate_and_sort(self, slab, extra):
+        a, b, grid_points = slab
+        ts = np.linspace(a, b, grid_points)
+        expected = merged_reference(ts[(ts > a) & (ts < b)], [w for w in extra if a < w < b])
+        merged = interior(slab_domain(a, b, grid_points=grid_points, witnesses=extra))[:, 0]
+        assert merged.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("grid_points", [2, 3, 11, 2001, 50_001])
     def test_domains_equal_the_reference_grid(self, grid_points):
