@@ -3,11 +3,12 @@ principle margins, convex-hull containment, and gradient-norm conservation.
 
 Domains are finite sample sets (interior strictly inside, boundary exactly
 on the boundary equation) that write their points block by block.
-``sample`` evaluates a field on blocks of at most ``BLOCK_POINTS`` points
-and feeds each to the checks' reductions, running extrema in which the
-first index wins a tie: no array of the domain's size exists, and reports
-are deterministic for a given grid.  An evaluation error, then a NaN or
-infinite reduced value, aborts with the first offending point."""
+``sample`` evaluates a field on blocks of at most ``BLOCK_POINTS`` points,
+or of the rows ``jet_rows`` sizes by a point's jets, and feeds each to the
+checks' reductions, running extrema in which the first index wins a tie:
+no array of the domain's size exists, and reports are deterministic for a
+given grid.  An evaluation error, then a NaN or infinite reduced value,
+aborts with the first offending point."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ __all__ = [
     "PrincipleVerdict",
     "HullVerdict",
     "ConservationReport",
+    "jet_rows",
     "sample",
     "residual_certify",
     "max_principle_check",
@@ -40,6 +42,22 @@ __all__ = [
     "hull_check",
     "conservation_check",
 ]
+
+#: most hessian entries the jets of one block of a residual sweep hold:
+#: 2,048 points at n = 3, N = 2, and every n = 1 block keeps BLOCK_POINTS
+BLOCK_ENTRIES = 36_864
+#: fewest points a block of jets holds however large each point's jets are:
+#: each block pays a fixed cost (correction panels, formula passes, Python
+#: calls) that fewer points would not amortize
+ROW_FLOOR = 2048
+
+
+def jet_rows(entries: int) -> int:
+    """Points in one block of a field whose jets hold ``entries`` hessian
+    entries a point: as many as BLOCK_ENTRIES allows, raised to ROW_FLOOR,
+    and at most BLOCK_POINTS, all read when called."""
+    return min(BLOCK_POINTS, max(ROW_FLOOR, BLOCK_ENTRIES // entries))
+
 
 class CheckEvaluationError(EvaluationError):
     """An evaluation failed at a specific sample point."""
@@ -92,7 +110,8 @@ class DomainSpec:
         if last > first:
             t = np.insert(t, self.at[first:last] - np.arange(q, q + last - first),
                           self.inserted[first:last])
-        block = t[:, None, None] * self.scale + self.shift
+        block = t[:, None, None] * self.scale
+        block += self.shift
         np.copyto(block, self.shift, where=self.scale == 0.0)  # a constant keeps its signed zero
         return block.reshape(-1, n)[start - q * k : stop - q * k]
 
@@ -276,10 +295,12 @@ class ConservationReport:
     passed: bool
 
 
-def sample(f, domain: DomainSpec, reductions, boundary_first: bool = False) -> None:
-    """Reduce f on the domain's points, BLOCK_POINTS at a time: f returns a
-    tuple of arrays, one entry or row per point, and the i-th goes to
-    ``reductions[i].feed(values, start)`` for points start, start + 1, ...
+def sample(f, domain: DomainSpec, reductions, boundary_first: bool = False,
+           rows: int | None = None) -> None:
+    """Reduce f on the domain's points, rows at a time (BLOCK_POINTS unless
+    given): f returns a tuple of arrays, one entry or row per point, and
+    the i-th goes to ``reductions[i].feed(values, start)`` for points
+    start, start + 1, ...
     Blocks run interior then boundary; with boundary_first, boundary then
     interior, the last boundary block topped up with interior points in
     domain order and feeding its boundary first.  An EvaluationError names
@@ -287,10 +308,11 @@ def sample(f, domain: DomainSpec, reductions, boundary_first: bool = False) -> N
     interior passed: evaluation is pointwise, so the shortest failing
     prefix of the failing block ends there."""
     m, total = domain.n_interior, len(domain)
+    rows = BLOCK_POINTS if rows is None else rows
     held = None
-    for p in range(0, total, BLOCK_POINTS):
+    for p in range(0, total, rows):
         start = (p + m) % total if boundary_first else p
-        stop = start + min(BLOCK_POINTS, total - p)
+        stop = start + min(rows, total - p)
         wrap = max(stop - total, 0)  # the block goes on with points 0 to wrap - 1
         block = domain.points(start, stop)
         if wrap:

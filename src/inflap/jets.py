@@ -77,14 +77,16 @@ def grid_nodes(a: float, b: float, samples: int, start: int, stop: int) -> np.nd
     return nodes
 
 
-def sorted_distinct(a) -> np.ndarray:
+def sorted_distinct(a, overwrite: bool = False) -> np.ndarray:
     """np.unique of a 1-D array without NaN: the same sort and adjacent
     compare, without np.unique's ``np.ma.is_masked`` test, whose first call
-    imports ``numpy.ma``."""
-    s = np.sort(a)
+    imports ``numpy.ma``.  With overwrite, a is sorted in place instead of
+    copied."""
+    s = a if overwrite else a.copy()
+    s.sort()
     keep = np.empty(len(s), dtype=bool)
     keep[:1] = True
-    keep[1:] = s[1:] != s[:-1]
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
     return s[keep]
 
 
@@ -104,9 +106,6 @@ class Jet2:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.val, self.d1, self.d2)
-
-    def __repr__(self) -> str:
-        return f"Jet2({self.val!r}, {self.d1!r}, {self.d2!r})"
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Jet of f∘g for g = self, given f, f', f'' evaluated at g.val."""

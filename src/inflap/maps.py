@@ -24,10 +24,14 @@ with the map's ``value`` (a profile map's unshifted batch from the runs
 read to choose), except when the unshifted variable has adjacent repeats,
 as on slabs at n >= 2 and on annuli: then it keeps each shift's runs and a
 byte-a-point mask of their starts, and the formulas run once on the
-distinct values of all shifts.  A call keeps nothing.  Given a
-workspace ``out``, a MapJet of at least as many points, ``map_jet`` and
-the oracle write into its leading rows and return views, valid until it
-is next written: the next block.
+distinct values of all shifts, ``_FORMULA_SLICE`` values at a time.  A
+call keeps nothing.  Given a workspace ``out``, a MapJet of at least as
+many points, ``map_jet`` and the oracle write into its leading rows and
+return views, valid until it is next written: the next block.  ``map_jet``
+forms ds ⊗ ds in each component's own hessian rows and the curvature
+term d1·dds in the next component's, or in dds itself for the last, so
+the only (rows, n, n) array it allocates is the annulus's ``dds``; on a
+slab dds is one constant zero.
 """
 
 from __future__ import annotations
@@ -159,7 +163,8 @@ class _ProfileMap(VectorMap):
         return self._as_point(x)[..., 0]
 
     def _variable(self, x):
-        return self._scalar(x), np.eye(self.n)[0], np.zeros((self.n, self.n))
+        # x1's hessian is zero: one (1, 1) zero that broadcasts to every entry
+        return self._scalar(x), np.eye(self.n)[0], np.zeros((1, 1))
 
     def _values(self, u, inv, formulas, out=None):
         """The map's values on every entry of a variable whose runs are u,
@@ -182,15 +187,20 @@ class _ProfileMap(VectorMap):
         jets = self._components(jet_lift(u))  # before the outputs: a lower peak
         out = MapJet.empty(s.shape, self.N, self.n, out)
         self._values(u, inv, [j.val for j in jets], out.value)
-        out.jacobian[..., len(jets):, :] = out.hessian[..., len(jets):, :, :] = 0.0
-        outer = ds[..., :, None] * ds[..., None, :]
         for a, j in enumerate(jets):
             d1 = np.asarray(_spread(j.d1, inv))[..., None]
             np.multiply(d1, ds, out=out.jacobian[..., a, :])
-            # fl(d2·outer) + fl(d1·dds); the sum turns a -0.0 product into 0.0
+            # fl(d2·fl(ds ⊗ ds)) + fl(d1·dds); the sum turns a -0.0 product
+            # into 0.0.  ds ⊗ ds is formed in the hessian rows themselves; a
+            # per-point fl(d1·dds) goes into the next component's rows, not
+            # yet written, or for the last component into dds itself
             hess = out.hessian[..., a, :, :]
-            np.multiply(np.asarray(_spread(j.d2, inv))[..., None, None], outer, out=hess)
-            np.add(hess, d1[..., None] * dds, out=hess)
+            spare = out.hessian[..., a + 1, :, :] if a + 1 < self.N else dds
+            curv = np.multiply(d1[..., None], dds, out=spare if dds.shape == hess.shape else None)
+            np.multiply(ds[..., :, None], ds[..., None, :], out=hess)
+            np.multiply(np.asarray(_spread(j.d2, inv))[..., None, None], hess, out=hess)
+            np.add(hess, curv, out=hess)
+        out.jacobian[..., len(jets):, :] = out.hessian[..., len(jets):, :, :] = 0.0
         return out
 
 
@@ -379,6 +389,10 @@ def _stencil(x, n: int, h: float):
         yield x - e[i] - e[j]
 
 
+#: most distinct variable values one formula pass of the FD oracle evaluates
+_FORMULA_SLICE = 1024
+
+
 def _stencil_values(map_obj: VectorMap, x, h: float):
     """The map's values on the shifted batches of ``_stencil``, in its
     order, as ``finite_difference_map_jet`` describes."""
@@ -391,8 +405,15 @@ def _stencil_values(map_obj: VectorMap, x, h: float):
                                map(map_obj.value, batches))
     try:
         runs = [(u, starts), *(_runs(map_obj._scalar(b)) for b in batches)]
-        bits = sorted_distinct(np.concatenate([np.ravel(u) for u, _ in runs]).view(np.int64))
-        table = map_obj._components(bits.view(float))
+        cat = np.concatenate([np.ravel(u) for u, _ in runs]).view(np.int64)
+        bits = sorted_distinct(cat, overwrite=True)
+        del cat  # sorted in place and dropped before the formulas run
+        distinct = bits.view(float)
+        # the formulas run on slices of the distinct values: their
+        # temporaries stay a slice's size, whatever the block holds
+        parts = [map_obj._components(distinct[k : k + _FORMULA_SLICE])
+                 for k in range(0, len(distinct), _FORMULA_SLICE)]
+        table = [np.concatenate(c) for c in zip(*parts)]
     except EvaluationError:
         return map(map_obj.value, _stencil(x, map_obj.n, h))
 

@@ -16,8 +16,9 @@ entry gets the bits the formula gives on a float.
 
 Integral-defined values are tabulated once by cumulative panel integration
 on a fixed grid anchored exactly at t = 0; point evaluation adds a short
-correction integral from the nearest node, so evaluation is O(1), smooth in
-t, and deterministic.
+correction integral from the nearest node, a 4-node panel where the
+table's cells are narrow and smooth enough for it, so evaluation is O(1),
+smooth in t, and deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .jets import (BLOCK_POINTS, EvaluationError, Jet2, exp, first_where, grid_nodes, jet_exp,
                    jet_sqrt)
-from .quadrature import gauss_kronrod_15
+from .quadrature import gauss_kronrod_15, gauss_legendre_4
 
 __all__ = [
     "Profile",
@@ -152,6 +153,24 @@ class GaussianRho(Profile):
         return -2.0 * t * _exp(-(t * t))
 
 
+#: widest cell whose corrections may use the 4-node Gauss-Legendre panel.
+#: Measured on full cells against Kronrod-15 over cache_cells 16 to 2^20 and
+#: t_max up to 26.6, at safety 0.05 and 0.001, in ulps of the table values at
+#: the cell's ends: at step <= 2^-10 the panels differ by at most 2 ulps on
+#: both arcs and on the phase up to t_max 8, by 3.8 at t_max 16 and by 21 at
+#: t_max 26.6, where both round the same steep integrand and the gap halves
+#: with the step; at 2^-9 the W1 arc at safety 0.001 differs by 45
+CORRECTION_STEP = 2.0**-10
+#: how far each cell's G4 panel may differ from its K15 panel, in those
+#: ulps, for a table to use G4 corrections: every table measured above
+#: passes, but the phase at t_max 26.6 below 262,144 cells.  A small safety
+#: brings M² - p'² near zero and G4's truncation error back at any width:
+#: at 4,096 cells the W1 arc differs by 98 ulps at safety 1e-4 and by 5.9e8 at
+#: 1e-9, where G4 corrections moved ex1a's FD residual from 4.9e-6 to
+#: 5.2e-4, failing it
+CORRECTION_ULPS = 8.0
+
+
 class _CumulativeTable:
     """Cumulative integral of a scalar integrand, anchored at the node 0.
 
@@ -159,7 +178,12 @@ class _CumulativeTable:
     stored value of exactly 0.  Each cell is integrated with one
     Kronrod-15 panel; the cells are narrow enough that the panel is exact
     to roundoff for the smooth integrands used here.  The panels are
-    evaluated on consecutive blocks of at most BLOCK_POINTS cells.
+    evaluated on consecutive blocks of at most BLOCK_POINTS cells.  A
+    value adds one correction panel from its node, shorter than a cell:
+    4-node Gauss-Legendre where ``short`` holds, Kronrod-15 otherwise.
+    ``short`` holds when step <= CORRECTION_STEP and G4 on every cell
+    matches the cell's K15 panel to CORRECTION_ULPS, checked once per
+    table with 4 more integrand nodes a cell.
     """
 
     def __init__(self, integrand, lo: float, hi: float, cells: int):
@@ -182,17 +206,34 @@ class _CumulativeTable:
         cum[anchor + 1:] = np.cumsum(panel[anchor:])
         cum[:anchor] = np.cumsum(-panel[:anchor][::-1])[::-1]
         self._cum = cum
+        self.short = self.step <= CORRECTION_STEP and self._short_matches(j, panel)
         self.t_lo = self.j_lo * self.step
         self.t_hi = self.j_hi * self.step
         self.lo_value = float(cum[0])
         self.hi_value = float(cum[-1])
+
+    def _short_matches(self, j, panel) -> bool:
+        """Whether G4 on every cell is within CORRECTION_ULPS ulps, of the
+        larger table value at the cell's ends, of the cell's K15 panel."""
+        for k in range(0, len(j), BLOCK_POINTS):
+            jb = j[k : k + BLOCK_POINTS]
+            short = gauss_legendre_4(self.integrand, jb * self.step, (jb + 1) * self.step)
+            ends = np.maximum(np.abs(self._cum[k : k + len(jb)]),
+                              np.abs(self._cum[k + 1 : k + 1 + len(jb)]))
+            ulp = np.spacing(ends)
+            if not np.all(np.abs(short - panel[k : k + len(jb)]) <= CORRECTION_ULPS * ulp):
+                return False
+        return True
 
     def value(self, t):
         """Integral from 0 to t, for t within the tabulated range."""
         j = np.clip(np.floor(t / self.step), self.j_lo, self.j_hi)
         node = j * self.step
         base = self._cum[(j - self.j_lo).astype(int)]
-        corr, _ = gauss_kronrod_15(self.integrand, node, t)
+        if self.short:
+            corr = gauss_legendre_4(self.integrand, node, t)
+        else:
+            corr, _ = gauss_kronrod_15(self.integrand, node, t)
         return np.where(t == node, base, base + corr)
 
 

@@ -1,15 +1,19 @@
-"""One Gauss-Kronrod 7/15 panel with an embedded error estimate.
+"""Fixed quadrature panels: Gauss-Kronrod 7/15 and 4-point Gauss-Legendre.
 
-The panel is integrated with the 7-point Gauss rule embedded in its
-15-point Kronrod extension; the difference of the two rules is the local
-error estimate and comes at no extra function evaluations.  The profile
-tables integrate each cell with one panel, and each evaluation adds one
-panel from the nearest node; there is no adaptive bisection.
+The Kronrod panel is integrated with the 7-point Gauss rule embedded in
+its 15-point Kronrod extension; the difference of the two rules is the
+local error estimate and comes at no extra function evaluations.  The
+profile tables integrate each cell with one Kronrod panel.  Each
+evaluation adds one correction panel from the nearest node, which spans
+less than a cell: the Gauss-Legendre panel, 4 integrand nodes, where the
+table's cells are narrow enough for it to be exact to roundoff, and the
+Kronrod panel elsewhere (``profiles._CumulativeTable``).  There is no
+adaptive bisection.
 """
 
 from __future__ import annotations
 
-__all__ = ["gauss_kronrod_15"]
+__all__ = ["gauss_kronrod_15", "gauss_legendre_4"]
 
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights attach
 # to the odd-indexed abscissae plus the midpoint.
@@ -38,6 +42,9 @@ _WG = (
     0.3818300505051189,
 )
 _WG_CENTER = 0.4179591836734694
+# Gauss-Legendre 4 abscissae (positive half) and weights
+_XGL = (0.33998104358485626, 0.8611363115940526)
+_WGL = (0.6521451548625461, 0.34785484513745385)
 
 
 def gauss_kronrod_15(f, a: float, b: float) -> tuple[float, float]:
@@ -57,3 +64,15 @@ def gauss_kronrod_15(f, a: float, b: float) -> tuple[float, float]:
         if i % 2 == 1:
             resg += _WG[i // 2] * s
     return resk * half, abs((resk - resg) * half)
+
+
+def gauss_legendre_4(f, a: float, b: float) -> float:
+    """One 4-point Gauss-Legendre panel on [a, b], exact for polynomials of
+    degree 7; no error estimate."""
+    half = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    res = 0.0
+    for x, w in zip(_XGL, _WGL):
+        dx = half * x
+        res += w * (f(center - dx) + f(center + dx))
+    return res * half

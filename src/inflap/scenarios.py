@@ -101,11 +101,16 @@ SCENARIO_NAMES = ("ex1a", "ex1b", "ex2", "ex3", "properties")
 MAX_DOMAIN_POINTS = 2_000_000
 #: most hessian entries the jets of one residual domain may total over its
 #: blocks, grid_points·copies·N·n² with N = 1 for the scalar maps of ex3: it
-#: bounds a run's work
+#: bounds a run's work.  A residual block holds checkers.BLOCK_ENTRIES of
+#: them, or checkers.ROW_FLOOR points where a point holds more than
+#: BLOCK_ENTRIES / ROW_FLOOR = 18; there, and only there, this cap is what
+#: bounds a block's jets (160 MB)
 MAX_HESSIAN_ENTRIES = 20_000_000
 #: most cells of a cumulative-integral table: its build evaluates 15 nodes a
-#: cell in blocks of jets.BLOCK_POINTS cells and keeps 32 bytes a cell at its peak
-#: (indices, panels and running sums), so the cap bounds that and its time
+#: cell in blocks of jets.BLOCK_POINTS cells, and 4 more where its cells are
+#: narrow enough for 4-node corrections (profiles.CORRECTION_STEP), and keeps
+#: 32 bytes a cell at its peak (indices, panels and running sums), so the cap
+#: bounds that and its time
 MAX_CACHE_CELLS = 1 << 20
 
 
@@ -388,17 +393,20 @@ def _run_construction(cfg: ScenarioConfig) -> CheckReport:
 
     # running sups of the residual norm and, given target_sq, of |Du|²'s deviation
     # from it, from the jets of u and of the forcing map (None without one), each
-    # written into a workspace of one block that lives for the sweep
+    # written into a workspace of one block that lives for the sweep; a block
+    # holds as many points as both maps' hessian entries allow
+    rows = checkers.jet_rows(sum(m.N * m.n * m.n for m in (u, f_map) if m is not None))
+
     def residuals(get, *target_sq):
         extrema = [Extremum() for _ in range(1 + len(target_sq))]
-        rows = (min(checkers.BLOCK_POINTS, len(res_domain)),)  # the most points sample feeds
-        u_out, f_out = (None if m is None else MapJet.empty(rows, m.N, m.n) for m in (u, f_map))
+        size = (min(rows, len(res_domain)),)  # the most points sample feeds
+        u_out, f_out = (None if m is None else MapJet.empty(size, m.N, m.n) for m in (u, f_map))
 
         def field(x):
             u_jets = get(u, x, u_out)
             norms = spec.residual(u_jets, None if f_map is None else get(f_map, x, f_out))
             return norms, *(np.abs(grad_norm_sq(u_jets) - t) for t in target_sq)
-        sample(field, res_domain, extrema)
+        sample(field, res_domain, extrema, rows=rows)
         return extrema
 
     target = () if spec.conservation_scale is None else (sb.M**2,)

@@ -1,9 +1,10 @@
 """Every field is sampled in consecutive blocks of at most BLOCK_POINTS
-domain points, and the speed-bound grid in blocks of as many nodes.
-Each point is evaluated once, reports equal those of one whole-domain batch
-byte for byte, the first failure is named as one batch names it, one
-block's results are alive at a time, and the traced peak of a run does not
-grow with its grid."""
+domain points, a residual sweep in blocks sized by its jets, and the
+speed-bound grid in blocks of BLOCK_POINTS nodes.  Each point is evaluated
+once, reports equal those of one whole-domain batch byte for byte, the
+first failure is named as one batch names it, one block's results are
+alive at a time, and the traced peak of a run grows neither with its grid
+nor with the source dimension."""
 
 import gc
 import math
@@ -140,6 +141,39 @@ def test_blocks_give_the_whole_batch_report(monkeypatch, scenario):
     assert _emitted(monkeypatch, scenario, 500) == whole
     assert fields and all(sum(seen) == size and len(seen) >= 3 for size, seen in fields)
     assert all(max(seen) <= 500 for _, seen in fields)
+
+
+@pytest.mark.parametrize("scenario, n, N, grid, rows", [
+    ("ex1a", 1, 2, 10_001, 4096),  # BLOCK_POINTS: the n = 1 workloads keep their blocks
+    ("ex1a", 3, 2, 2001, 2048),    # 18 entries a point
+    ("ex1b", 2, 3, 2001, 3072),    # 12 entries a point
+    ("ex2", 3, 4, 1001, 2048),     # the floor: 36 entries would allow 1,024 points
+    ("ex3", 2, 1, 2001, 4096),     # u's and the forcing map's jets, 8 entries a point
+    ("ex1b", 10, 2, 201, 2048),    # the floor, at 200 entries a point
+])
+def test_residual_blocks_are_sized_by_their_jets(monkeypatch, scenario, n, N, grid, rows):
+    sizes = []
+
+    def recorded_sample(f, domain, *args, **kwargs):
+        seen = []
+
+        def field(x):
+            seen.append(len(x))
+            return f(x)
+
+        sample(field, domain, *args, **kwargs)
+        sizes.append((len(domain), seen))
+
+    monkeypatch.setattr(scenarios, "sample", recorded_sample)
+    run_scenario(ScenarioConfig(scenario=scenario, n=n, N=N, grid_points=grid))
+    entries = (2 if scenario == "ex3" else 1) * N * n * n  # hessian entries a point
+    (size, analytic), (_, fd), *values = sizes
+    assert analytic == fd and sum(analytic) == size and len(analytic) >= 2
+    # every block but the last is full; a full block holds at most
+    # BLOCK_ENTRIES hessian entries, or the floor's points
+    assert set(analytic[:-1]) == {rows} and analytic[-1] <= rows
+    assert rows * entries <= checkers.BLOCK_ENTRIES or rows == checkers.ROW_FLOOR
+    assert all(max(seen) <= BLOCK_POINTS for _, seen in values)
 
 
 def test_principle_checks_keep_the_registry_order():
@@ -286,6 +320,13 @@ def _traced_peak(scenario: str, grid_points: int, n: int = 1) -> int:
     return traced_peak(lambda: run_scenario(cfg))
 
 
+def test_traced_peak_is_flat_in_the_source_dimension():
+    # the same 48,000 annulus points at n = 2 and n = 3: blocks of 4,096
+    # points of 8 hessian entries against 2,048 of 18 (4,096 of 18 read
+    # 2.69 MB against 2.13 MB)
+    assert _traced_peak("ex1b", 8001, n=3) < 1.2 * _traced_peak("ex1b", 12_001, n=2)
+
+
 def test_traced_peak_grows_far_slower_than_the_domain():
     # four times the points (18,009 -> 72,009 on the residual slab); whole-
     # domain batches quadrupled the peak with them, 8.9 -> 30.6 MB
@@ -316,18 +357,20 @@ for grid in (2001, 8001, 32001):  # the first run warms the process
 
 def test_minor_faults_do_not_grow_with_the_blocks():
     # each residual block that 32,001 adds over 8,001 faults in fewer pages
-    # than one block's hessian occupies (4,096 x 2 x 3 x 3 floats, 144 pages
+    # than one block's hessian occupies (2,048 x 2 x 3 x 3 floats, 72 pages
     # of 4 KiB): the sweeps reuse their jets' buffers instead of mapping new
-    # ones every block (the per-block allocations faulted 540-630 pages)
+    # ones every block (the per-block allocations faulted 540-630 pages a
+    # block of 4,096 points)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     _, small, large = map(int, proc.stdout.split())
     _, lo, hi = construction("ex1a").residual_domain
-    blocks = [math.ceil(len(slab_domain(lo, hi, 3, grid, 1.0, WITNESS_ABSCISSAS)) / BLOCK_POINTS)
+    rows = checkers.jet_rows(2 * 3 * 3)  # the residual sweeps' block at N = 2, n = 3
+    blocks = [math.ceil(len(slab_domain(lo, hi, 3, grid, 1.0, WITNESS_ABSCISSAS)) / rows)
               for grid in (8001, 32001)]
-    hessian_pages = BLOCK_POINTS * 2 * 3 * 3 * 8 / resource.getpagesize()
+    hessian_pages = rows * 2 * 3 * 3 * 8 / resource.getpagesize()
     assert (large - small) / (blocks[1] - blocks[0]) < hessian_pages
 
 

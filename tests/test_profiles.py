@@ -16,6 +16,7 @@ from inflap.profiles import (
     choose_M,
     estimate_sup_abs_d1,
 )
+from inflap.scenarios import ScenarioConfig, run_scenario
 
 from helpers import exact, fd_jet, traced_peak
 
@@ -302,6 +303,45 @@ class TestPolarPhase:
         ts = np.linspace(-1.9, 1.9, 200)
         vals = [phase.value(float(t)) for t in ts]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _tables(safety=0.05, cells=4096):
+    """The W1 and Z1 arc tables and the phase table at t_max 2."""
+    tables = []
+    for base in (BumpW1(), BumpZ1()):
+        tables.append(ArcComplement(base, choose_M(base, safety).M, cells=cells)._table)
+    rho = GaussianRho()
+    tables.append(PolarPhase(choose_M(rho, safety).M, cells=cells, rho=rho)._table)
+    return tables
+
+
+class TestCorrectionPanel:
+    """A value's correction is 4-node Gauss-Legendre on tables whose cells
+    are at most CORRECTION_STEP wide and whose every cell's G4 panel matches
+    its Kronrod-15 panel; Kronrod-15 elsewhere."""
+
+    def test_default_tables_take_the_short_panel(self):
+        assert [tab.short for tab in _tables()] == [True, True, True]
+
+    def test_wide_cells_keep_kronrod(self):
+        # 2,048 cells: steps of 2^-9, 1.5·2^-10 and 2^-9
+        assert [tab.short for tab in _tables(cells=2048)] == [False, False, False]
+
+    def test_small_safety_keeps_kronrod(self):
+        # M² - p'² nearly vanishes where |p'| peaks, and G4 misses by 1e5 ulps and more
+        assert [tab.short for tab in _tables(safety=1e-9)] == [False, False, False]
+
+    def test_short_values_are_kronrod_values_to_roundoff(self):
+        for tab in _tables():
+            t = np.linspace(tab.t_lo, tab.t_hi, 20_001)
+            short = tab.value(t)
+            tab.short = False
+            diff = np.abs(short - tab.value(t))
+            assert np.all(diff <= 4.0 * np.spacing(np.abs(short)) + 1e-300)
+
+    def test_small_safety_passes_the_fd_residual(self):
+        report = run_scenario(ScenarioConfig(scenario="ex1a", n=2, grid_points=501, safety=1e-9))
+        assert [r.passed for r in report.residual] == [True, True]
 
 
 class TestJetsAgainstFiniteDifferences:

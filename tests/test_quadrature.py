@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflap.profiles import ArcComplement, BumpW1, choose_M
-from inflap.quadrature import gauss_kronrod_15
+from inflap.quadrature import gauss_kronrod_15, gauss_legendre_4
 
 
 def test_constant_on_unit_interval():
@@ -45,6 +45,23 @@ def test_additivity_at_split_point(c):
     left, _ = gauss_kronrod_15(f, -2.0, c)
     right, _ = gauss_kronrod_15(f, c, 2.0)
     assert abs(whole - (left + right)) <= 2e-10
+
+
+def test_gauss_legendre_4_is_exact_to_degree_seven():
+    # sum of x^k over [0, 2] for k <= 7, and the first power it misses
+    septic = lambda x: sum(x**k for k in range(8))  # noqa: E731
+    assert gauss_legendre_4(septic, 0.0, 2.0) == pytest.approx(
+        sum(2.0 ** (k + 1) / (k + 1) for k in range(8)), rel=1e-15)
+    assert gauss_legendre_4(lambda x: x**8, 0.0, 1.0) != pytest.approx(1.0 / 9.0, rel=1e-6)
+
+
+def test_gauss_legendre_4_on_arrays_matches_each_panel():
+    a, b = np.array([0.0, 0.5, -1.0]), np.array([0.25, 0.5, 2.0])
+    f = lambda x: 1.0 / (1.0 + x * x)  # noqa: E731
+    together = gauss_legendre_4(f, a, b)
+    apart = [gauss_legendre_4(f, float(lo), float(hi)) for lo, hi in zip(a, b)]
+    np.testing.assert_array_equal(together, apart)
+    assert together[1] == 0.0
 
 
 def _richardson_trapezoid(f, a, b, n=1 << 20):

@@ -30,7 +30,6 @@ UNREACHED = {
     "checkers.CheckEvaluationError.__init__": "raised only when an evaluation fails",
     "jets.first_where": "called only to name a failing entry",
     "cli._internal_error": "called only on an unexpected exception",
-    "jets.Jet2.__repr__": "a debugging aid: no run, test or benchmark formats a jet",
     "maps.VectorMap.value": "default of the one map without a formula path, TrigQuadMap, "
                             "whose values only tests read (the FD oracle, the block sweeps)",
     "operators.infinity_laplacian": "reached by tests and the benchmark tracer",

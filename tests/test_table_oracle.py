@@ -1,7 +1,9 @@
 """The integral-defined profiles against 40-digit quadrature.
 
 The oracle integrates the closed-form slopes with mpmath, so it shares
-neither the Jet2 arithmetic nor the float tables with the library.
+neither the Jet2 arithmetic nor the float tables with the library.  At the
+default cells a value's correction panel is 4-node Gauss-Legendre; on
+coarse tables it must stay Kronrod-15, whose errors there bound it.
 """
 
 import pytest
@@ -85,3 +87,33 @@ def test_polar_phase_matches_mpmath():
     for t in PHASE_POINTS:
         expected = _oracle(integrand, t, (-1, 0, 1))
         assert abs(phase.value(t) - expected) <= TOL, t
+
+
+#: (table, cache_cells) -> the largest error over its points with Kronrod-15
+#: corrections, rounded up to two digits; 4-node corrections on these coarse
+#: cells err by up to 2e-4 (w1 at 16 cells)
+K15_ERRORS = {
+    ("w1", 16): 1.9e-8, ("w1", 64): 1.5e-15, ("w1", 256): 4.1e-16,
+    ("z1", 16): 5.8e-9, ("z1", 64): 7.5e-16, ("z1", 256): 1.8e-15,
+    ("phase", 16): 4.2e-15, ("phase", 64): 1.3e-15, ("phase", 256): 8.4e-16,
+}
+
+
+@pytest.mark.parametrize("cells", [16, 64, 256])
+@pytest.mark.parametrize("name", ["w1", "z1", "phase"])
+def test_coarse_tables_keep_their_kronrod_error(name, cells):
+    if name == "phase":
+        rho = GaussianRho()
+        profile = PolarPhase(choose_M(rho).M, rho=rho, cells=cells)
+        root = _arc_integrand(_rho_slope, profile.M)
+        integrand = lambda s: root(s) / mp.exp(-s * s)  # noqa: E731
+        breaks, points = (-1, 0, 1), PHASE_POINTS
+    else:
+        base, slope, breaks, points = {
+            "w1": (BumpW1(), _w1_slope, (-2, -1, 0, 1, 2), W1_POINTS),
+            "z1": (BumpZ1(), _z1_slope, (1, 2, 3), Z1_POINTS),
+        }[name]
+        profile = ArcComplement(base, choose_M(base).M, cells=cells)
+        integrand = _arc_integrand(slope, profile.M)
+    errors = [abs(profile.value(t) - _oracle(integrand, t, breaks)) for t in points]
+    assert max(errors) <= K15_ERRORS[name, cells]
