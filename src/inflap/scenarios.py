@@ -1,16 +1,15 @@
 """Scenario registry and runners.
 
-Each counterexample scenario is a small data entry: the profile its speed
-bound is chosen for, the map it builds, its residual function and residual
-domain, and each value domain with the checks its sampled values feed.  One
-runner builds the construction from scratch and sweeps each field once
-with ``checkers.sample``, block by block into running reductions: the
-residual norms of the analytic, then the finite-difference jets on the
-residual domain (with |Du|²'s deviation for conservation), then the map's
-values on each value domain in turn, boundary first, into its checks.  The
-runner then applies the pass rule.  The randomized property suite has its
-own runner.  Results are the typed records of ``checkers``; ``reports``
-renders them.
+Each scenario is one registry entry: the profile its speed bound is chosen
+for, the map it builds, its residual function and residual domain, each
+value domain with the checks its sampled values feed, the facts validation
+reads, and its runner.  The construction runner builds the map from
+scratch and sweeps each field once with ``checkers.sample``, block by block
+into running reductions: the residual norms of the analytic, then the
+finite-difference jets on the residual domain (with |Du|²'s deviation for
+conservation), then the map's values on each value domain, boundary first,
+into its checks; then it applies the pass rule.  The randomized property
+suite has its own runner.  Results are the typed records of ``checkers``.
 """
 
 from __future__ import annotations
@@ -92,19 +91,16 @@ INV_E = math.exp(-1.0)
 # interior grids turns the margin checks into near-exact comparisons.
 WITNESS_ABSCISSAS = (0.0, 1.0, -1.0, 2.0)
 
-_VECTOR_SCENARIOS = ("ex1a", "ex1b", "ex2")
-SCENARIO_NAMES = ("ex1a", "ex1b", "ex2", "ex3", "properties")
-
 #: most points a construction's domain may hold: grid_points·3^(n-1) on a slab, ·2n on an
 #: annulus.  A domain is written and reduced block by block, so the cap bounds work, not memory.
-#: It also caps the property suite's grid_points, the rows of its profile tables
+#: It also caps the grid_points of an entry that samples no domain: the rows of its profile tables
 MAX_DOMAIN_POINTS = 2_000_000
 #: most hessian entries the jets of one residual domain may total over its
-#: blocks, grid_points·copies·N·n² with N = 1 for the scalar maps of ex3: it
-#: bounds a run's work.  A residual block holds checkers.BLOCK_ENTRIES of
-#: them, or checkers.ROW_FLOOR points where a point holds more than
-#: BLOCK_ENTRIES / ROW_FLOOR = 18; there, and only there, this cap is what
-#: bounds a block's jets (160 MB)
+#: blocks, grid_points·copies·rows·n² with the registry entry's hessian rows
+#: a point: it bounds a run's work.  A residual block holds
+#: checkers.BLOCK_ENTRIES of them, or checkers.ROW_FLOOR points where a point
+#: holds more than BLOCK_ENTRIES / ROW_FLOOR = 18; there, and only there, this
+#: cap is what bounds a block's jets (160 MB)
 MAX_HESSIAN_ENTRIES = 20_000_000
 #: most cells of a cumulative-integral table: its build evaluates 15 nodes a
 #: cell in blocks of jets.BLOCK_POINTS cells, and 4 more where its cells are
@@ -142,20 +138,23 @@ _POSITIVE_FIELDS = (
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
-    """Field-by-field validation; returns a list of error strings."""
+    """Field-by-field validation against the scenario's registry entry."""
     errors = []
-    spec = construction(cfg.scenario) if cfg.scenario in SCENARIO_NAMES else None
+    spec = _CONSTRUCTIONS.get(cfg.scenario)
     if spec is None:
         errors.append(f"scenario: unknown name {cfg.scenario!r}; expected one of {SCENARIO_NAMES}")
     if cfg.n < 1:
         errors.append("n: must be >= 1")
-    if cfg.scenario in _VECTOR_SCENARIOS and cfg.N < 2:
-        errors.append("N: must be >= 2 for the vector-valued scenarios")
-    elif cfg.N < 1:
-        errors.append("N: must be >= 1")
+    least_N = 1 if spec is None else spec.least_N
+    if cfg.N < least_N:
+        errors.append("N: must be >= 1" if least_N == 1
+                      else f"N: must be >= {least_N} for the vector-valued scenarios")
     if cfg.grid_points < 2:
         errors.append("grid_points: must be >= 2")
-    if cfg.scenario in _CONSTRUCTIONS and cfg.n >= 1:
+    if spec is not None and not spec.values:
+        if cfg.grid_points > MAX_DOMAIN_POINTS:
+            errors.append(f"grid_points: must be <= {MAX_DOMAIN_POINTS}, got {cfg.grid_points!r}")
+    elif spec is not None and cfg.n >= 1:
         # a construction's domains all have its residual domain's kind; 3^20
         # slab copies alone pass the cap, so no larger power is formed
         copies = 2 * cfg.n if spec.residual_domain[0] == "annulus" else 3 ** min(cfg.n - 1, 20)
@@ -163,12 +162,10 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         if points > MAX_DOMAIN_POINTS:
             errors.append(f"grid_points, n: a domain holds more than {MAX_DOMAIN_POINTS} points")
         # a point's jets grow with N·n², so the point cap alone leaves the work unbounded
-        targets = 1 if spec.build is _perturbed_scalar else cfg.N
-        if points * targets * cfg.n**2 > MAX_HESSIAN_ENTRIES:
+        rows = cfg.N if spec.targets is None else spec.targets
+        if points * rows * cfg.n**2 > MAX_HESSIAN_ENTRIES:
             errors.append(f"grid_points, n, N: the residual domain's jets total more than "
                           f"{MAX_HESSIAN_ENTRIES} hessian entries")
-    elif cfg.scenario == "properties" and cfg.grid_points > MAX_DOMAIN_POINTS:
-        errors.append(f"grid_points: must be <= {MAX_DOMAIN_POINTS}, got {cfg.grid_points!r}")
     invalid = set()
     for name in _POSITIVE_FIELDS:
         value = getattr(cfg, name)
@@ -205,14 +202,12 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
                 got += f" and cross_extent {cfg.cross_extent!r}, whose half is the reach"
             errors.append(f"{names}: must satisfy {reach!r} + fd_step > {reach!r} and "
                           f"fd_step <= 0.01, got {got}")
-    polar = spec is not None and spec.build is _polar_spiral
-    if polar and not invalid & {"t_max", "fd_step", "cache_cells"}:
-        # the phase is tabulated on |t| <= t_max and sampled on the residual
-        # slab, one fd step past it outside the property suite.  An odd cell
-        # count makes the table reach t_max (1 + 1/cells); out to there
-        # rho = exp(-t²) must stay a normal float.
+    phase = None if spec is None else spec.phase
+    if phase is not None and not invalid & {"t_max", "fd_step", "cache_cells"}:
+        # the table must cover the residual slab and phase fd steps past it; an odd cell
+        # count makes it reach t_max (1 + 1/cells), where exp(-t²) must stay a normal float
         _, lo, hi = spec.residual_domain
-        reach = max(-lo, hi) + (cfg.fd_step if cfg.scenario in _CONSTRUCTIONS else 0.0)
+        reach = max(-lo, hi) + phase * cfg.fd_step
         top = math.sqrt(-math.log(sys.float_info.min)) / (1.0 + 1.0 / cfg.cache_cells)
         if not reach <= cfg.t_max <= top:
             errors.append(
@@ -316,68 +311,7 @@ def _hull(domain, cfg):
     return reduction, lambda: hull_check(reduction, domain, cfg.hull_tol)
 
 
-@dataclass(frozen=True)
-class _Construction:
-    """What one counterexample scenario builds, checks and must detect.
-
-    Domains are ("slab", a, b) or ("annulus", r_in, r_out).  ``residual``
-    gives the residual norm at each point from the map's jets and the
-    forcing map's (None without one).  ``values`` lists each value domain
-    once with the (name, check) pairs its sampled values feed, in report
-    order; the check named "hull" fills the hull section, every other one a
-    principle verdict.  ``detect`` names the principle checks the pass rule
-    reads: one name needs a maximum-principle violation, two names
-    (negative, positive slab) a two-sided failure.
-    """
-
-    profile: type
-    build: Callable
-    residual: Callable
-    residual_domain: tuple
-    conservation_scale: float | None  # tolerance / M², None: not checked
-    values: tuple  # (domain, ((name, check), ...))
-    analytic_margin: float
-    detect: tuple[str, ...]
-
-
-_CONSTRUCTIONS = {
-    "ex1a": _Construction(
-        profile=BumpW1, build=_curve(CurveMap), residual=_tangential_residual,
-        residual_domain=("slab", -3.0, 3.0), conservation_scale=1e-10,
-        values=((("slab", -2.0, 0.0), (("xi_e1_minus", _along(0)), ("xi_e2_minus", _along(1)))),
-                (("slab", 0.0, 2.0), (("xi_e1_plus", _along(0)), ("xi_e2_plus", _along(1)))),
-                (("slab", -2.0, 2.0), (("hull", _hull),))),
-        analytic_margin=INV_E, detect=("xi_e1_minus", "xi_e1_plus"),
-    ),
-    "ex1b": _Construction(
-        profile=BumpZ1, build=_curve(RadialCurveMap), residual=_tangential_residual,
-        residual_domain=("annulus", 1.0, 3.0), conservation_scale=1e-10,
-        values=((("annulus", 1.0, 3.0), (("xi_e1", _along(0)), ("hull", _hull))),),
-        analytic_margin=INV_E, detect=("xi_e1",),
-    ),
-    "ex2": _Construction(
-        profile=GaussianRho, build=_polar_spiral, residual=_tangential_residual,
-        residual_domain=("slab", -1.5, 1.5), conservation_scale=1e-9,
-        values=((("slab", -1.0, 1.0), (("modulus", _modulus),)),),
-        analytic_margin=1.0 - INV_E, detect=("modulus",),
-    ),
-    "ex3": _Construction(
-        profile=BumpW1, build=_perturbed_scalar, residual=_perturbed_residual,
-        residual_domain=("slab", -3.0, 3.0), conservation_scale=None,
-        values=((("slab", -2.0, 0.0), (("v_minus", _scalar_value),)),
-                (("slab", 0.0, 2.0), (("v_plus", _scalar_value),))),
-        analytic_margin=INV_E, detect=("v_minus", "v_plus"),
-    ),
-}
-
-
-def construction(name: str) -> _Construction:
-    """The registry entry of scenario ``name``; the property suite runs on ex2's."""
-    return _CONSTRUCTIONS["ex2" if name == "properties" else name]
-
-
-def _run_construction(cfg: ScenarioConfig) -> CheckReport:
-    spec = construction(cfg.scenario)
+def _run_construction(spec, cfg: ScenarioConfig) -> CheckReport:
     profile = spec.profile()
     sb = choose_M(profile, cfg.safety)
     u, f_map = spec.build(profile, sb.M, cfg)
@@ -458,7 +392,7 @@ def _frobenius(a) -> np.ndarray:
     return row_norm(a.reshape(a.shape[:-2] + (-1,)))
 
 
-def _run_properties(cfg: ScenarioConfig) -> CheckReport:
+def _run_properties(spec, cfg: ScenarioConfig) -> CheckReport:
     rng = np.random.default_rng(cfg.seed)
     dims = [(N, n) for N in (1, 2, 3, 5) for n in (1, 2, 3)]
     samples = 500
@@ -548,7 +482,6 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
            ("tol", 1e-5, {"max_relative_error": rels}))
 
     # polar identity on the suite's polar-spiral construction, over its residual slab
-    spec = construction(cfg.scenario)
     rho = spec.profile()
     sb = choose_M(rho, cfg.safety)
     u, _ = spec.build(rho, sb.M, replace(cfg, n=1, N=2))
@@ -568,16 +501,82 @@ def _run_properties(cfg: ScenarioConfig) -> CheckReport:
     return CheckReport(cfg, sb, overall, properties=properties)
 
 
+@dataclass(frozen=True)
+class _Construction:
+    """What one scenario builds, checks and must detect, and what validation reads.
+
+    Domains are ("slab", a, b) or ("annulus", r_in, r_out).  ``residual``
+    gives the residual norm at each point from the map's jets and the
+    forcing map's (None without one).  ``values`` lists each value domain
+    once with the (name, check) pairs its sampled values feed, in report
+    order; the check named "hull" fills the hull section, every other one a
+    principle verdict.  Without value domains no domain is sampled.
+    ``detect`` names the principle checks the pass rule reads: one name
+    needs a maximum-principle violation, two names (negative, positive
+    slab) a two-sided failure.  ``phase`` is None without a phase table.
+    """
+
+    profile: type
+    build: Callable
+    residual: Callable
+    residual_domain: tuple
+    conservation_scale: float | None  # tolerance / M², None: not checked
+    values: tuple  # (domain, ((name, check), ...))
+    analytic_margin: float
+    detect: tuple[str, ...]
+    least_N: int = 2  # the fewest targets the scenario takes
+    targets: int | None = None  # hessian rows of a residual point; None: the config's N
+    phase: int | None = None  # fd steps its phase table reaches past the residual slab
+    run: Callable = _run_construction  # (entry, config) -> CheckReport
+
+
+_CONSTRUCTIONS = {
+    "ex1a": _Construction(
+        profile=BumpW1, build=_curve(CurveMap), residual=_tangential_residual,
+        residual_domain=("slab", -3.0, 3.0), conservation_scale=1e-10,
+        values=((("slab", -2.0, 0.0), (("xi_e1_minus", _along(0)), ("xi_e2_minus", _along(1)))),
+                (("slab", 0.0, 2.0), (("xi_e1_plus", _along(0)), ("xi_e2_plus", _along(1)))),
+                (("slab", -2.0, 2.0), (("hull", _hull),))),
+        analytic_margin=INV_E, detect=("xi_e1_minus", "xi_e1_plus"),
+    ),
+    "ex1b": _Construction(
+        profile=BumpZ1, build=_curve(RadialCurveMap), residual=_tangential_residual,
+        residual_domain=("annulus", 1.0, 3.0), conservation_scale=1e-10,
+        values=((("annulus", 1.0, 3.0), (("xi_e1", _along(0)), ("hull", _hull))),),
+        analytic_margin=INV_E, detect=("xi_e1",),
+    ),
+    "ex2": _Construction(
+        profile=GaussianRho, build=_polar_spiral, residual=_tangential_residual,
+        residual_domain=("slab", -1.5, 1.5), conservation_scale=1e-9,
+        values=((("slab", -1.0, 1.0), (("modulus", _modulus),)),),
+        analytic_margin=1.0 - INV_E, detect=("modulus",), phase=1,
+    ),
+    "ex3": _Construction(
+        profile=BumpW1, build=_perturbed_scalar, residual=_perturbed_residual,
+        residual_domain=("slab", -3.0, 3.0), conservation_scale=None,
+        values=((("slab", -2.0, 0.0), (("v_minus", _scalar_value),)),
+                (("slab", 0.0, 2.0), (("v_plus", _scalar_value),))),
+        analytic_margin=INV_E, detect=("v_minus", "v_plus"), least_N=1, targets=1,
+    ),
+}
+# the property suite's polar identity samples ex2's map on its residual slab alone
+_CONSTRUCTIONS["properties"] = replace(_CONSTRUCTIONS["ex2"], values=(), detect=(), least_N=1,
+                                       phase=0, run=_run_properties)
+SCENARIO_NAMES = tuple(_CONSTRUCTIONS)
+
+
+def construction(name: str) -> _Construction:
+    """The registry entry of scenario ``name``."""
+    return _CONSTRUCTIONS[name]
+
+
 def run_scenario(cfg: ScenarioConfig) -> CheckReport:
     """Run one scenario; deterministic for a fixed config (incl. seed)."""
     errors = validate_config(cfg)
     if errors:
         raise ValueError("invalid configuration: " + "; ".join(errors))
-    t0 = time.perf_counter()
-    if cfg.scenario == "properties":
-        report = _run_properties(cfg)
-    else:
-        report = _run_construction(cfg)
+    spec, t0 = _CONSTRUCTIONS[cfg.scenario], time.perf_counter()
+    report = spec.run(spec, cfg)
     report.timings["total_s"] = time.perf_counter() - t0
     return report
 

@@ -18,7 +18,7 @@ from inflap.cli import main
 from inflap.jets import EvaluationError
 from inflap.maps import PolarDecomposition, polar_decompose
 from inflap.operators import normal, orthogonal_projection, tangential
-from inflap.profiles import BumpW1, BumpZ1, GaussianRho
+from inflap.profiles import BumpW1, BumpZ1, GaussianRho, PolarPhase, choose_M
 from inflap.reports import (
     CSV_HEADER,
     dumps_canonical,
@@ -304,10 +304,38 @@ class TestValidation:
         assert errors == ([f"grid_points: must be <= {MAX_DOMAIN_POINTS}, got {grid_points}"]
                           if capped else [])
 
-    def test_properties_runs_on_the_ex2_construction(self):
-        assert construction("properties") is construction("ex2")
+    def test_the_suite_entry_builds_the_ex2_construction(self):
+        suite, ex2 = construction("properties"), construction("ex2")
+        assert (suite.profile, suite.build, suite.residual_domain) == \
+            (ex2.profile, ex2.build, ex2.residual_domain)
+        assert suite.values == () and suite.run is not ex2.run
         with pytest.raises(KeyError):
             construction("nope")
+
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_each_entry_states_what_its_maps_take(self, monkeypatch, scenario):
+        """The maps an entry builds take at least its least N targets, the
+        residual map's jets have the hessian rows validation counts, and a
+        phase table is built exactly where the entry states one."""
+        spec = construction(scenario)
+        profile = spec.profile()
+        M = choose_M(profile, samples=20_000).M
+        phases = []
+
+        def phase(*args, **kwargs):
+            phases.append(PolarPhase(*args, **kwargs))
+            return phases[-1]
+        monkeypatch.setattr(scenarios, "PolarPhase", phase)
+        for n, N in ((1, 2), (3, 2), (2, 5)):
+            phases.clear()
+            cfg = ScenarioConfig(scenario=scenario, n=n, N=N, cache_cells=256)
+            maps = [m for m in spec.build(profile, M, cfg) if m is not None]
+            assert min(m.N for m in maps) >= spec.least_N
+            x = np.zeros((1, n))
+            x[0, 0] = 0.5 * spec.residual_domain[2]  # inside the slab or annulus
+            rows = N if spec.targets is None else spec.targets
+            assert maps[0].map_jet(x).hessian.shape[1:] == (rows, n, n)
+            assert (spec.phase is not None) == (len(phases) == 1)
 
 
 def _scaled_polar(m):
@@ -368,8 +396,8 @@ class TestPropertyVerdicts:
     @pytest.mark.xfail(strict=True, reason=(
         "the gradient identity's central difference of half |Du|² at h = fd_step has an "
         "O(h²) truncation error, above the 1e-5 tolerance where |T| is small: "
-        "1.0049e-5 at seed 87, 5.45e-4 at seed 178 (ROADMAP item 1)"))
-    @pytest.mark.parametrize("seed", [87, 178])
+        "1.0049e-5 at seed 87, 5.45e-4 at seed 178, 1.21e-3 at seed 4243 (ROADMAP item 1)"))
+    @pytest.mark.parametrize("seed", [87, 178, 4243])
     def test_suite_passes_at_seed(self, seed):
         assert run_scenario(ScenarioConfig(scenario="properties", seed=seed)).overall_pass
 
